@@ -33,18 +33,16 @@ from .linalg import (
     ATOL,
     SX,
     HADAMARD,
+    apply_local,
     basis_state,
     bell_state,
     dagger,
     is_unitary,
     kron,
-    projector,
 )
 from .reversal import (
     Encoding,
     amplitude_matrix,
-    canonical_pair,
-    entanglement_deviation,
     is_maximally_entangled,
     local_dimension,
     local_frame_gate,
@@ -120,12 +118,6 @@ def weyl_clock(d: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
 
 
-def _apply_left(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(a (x) 1)|phi> without building the Kronecker product."""
-    d = a.shape[0]
-    return (a @ phi.reshape(d, d)).reshape(-1)
-
-
 def entangled_basis(omega: np.ndarray) -> list[np.ndarray]:
     """Maximally entangled orthonormal basis containing ``omega`` at index 0.
 
@@ -140,7 +132,7 @@ def entangled_basis(omega: np.ndarray) -> list[np.ndarray]:
     for _m in range(d):
         w = sm.copy()
         for _n in range(d):
-            basis.append(_apply_left(w, omega))
+            basis.append(apply_local(omega.reshape(d, d), 0, w).reshape(-1))
             w = w @ clock
         sm = shift @ sm
     return basis
@@ -297,13 +289,6 @@ def computational_measure(qubits) -> Measure:
     return Measure(qubits=qubits, states=tuple(basis_state(dim, k) for k in range(dim)))
 
 
-def _apply_gate1(state: np.ndarray, nq: int, pos: int, u: np.ndarray) -> np.ndarray:
-    t = state.reshape((2,) * nq)
-    t = np.moveaxis(t, pos, -1)
-    t = t @ u.T
-    return np.moveaxis(t, -1, pos).reshape(-1)
-
-
 def _apply_gate2(state: np.ndarray, nq: int, kind: str, cpos: int, tpos: int) -> np.ndarray:
     t = state.reshape((2,) * nq).copy()
 
@@ -358,7 +343,7 @@ def run_gate_circuit(
                 u = np.asarray(ev.matrix, dtype=complex)
                 if u.shape != (2, 2):
                     raise ValueError("single-carrier gate must be 2 x 2")
-                state = _apply_gate1(state, nq, pos, u)
+                state = apply_local(state.reshape((2,) * nq), pos, u).reshape(-1)
             elif isinstance(ev, Gate2):
                 if ev.control == ev.target:
                     raise ValueError("control and target must differ")

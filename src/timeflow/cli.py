@@ -23,15 +23,17 @@ import numpy as np
 
 from . import properties
 from .circuits import (
+    OutcomeReport,
     TeleportCircuit,
     acausal_circuit,
     forward_oracle,
     nonmax_loss,
     run_gate_circuit,
-    timeflow_eval,
     timeflow_trace,
 )
-from .formats import load_circuit, load_sequence, load_spin_system, parse_angle, vector_pairs
+from .formats import (
+    finite_float, load_circuit, load_sequence, load_spin_system, parse_angle, vector_pairs
+)
 from .linalg import equal_up_to_global_phase
 from .nmr import fid, pauli_decompose, run_sequence, spectrum
 from .reversal import is_maximally_entangled, photon_number, spin_half
@@ -42,7 +44,7 @@ DEFAULT_TOL = 1e-9
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance")
+    p.add_argument("--tol", type=finite_float, default=DEFAULT_TOL, help="tolerance")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -85,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True, help="pulse-sequence file")
     p.add_argument("--initial", default="X00X", help="initial deviation label")
     p.add_argument("--detect", type=int, default=None, help="observed spin (1-based)")
-    p.add_argument("--duration", type=float, default=None, help="acquisition time (s)")
+    p.add_argument("--duration", type=finite_float, default=None, help="acquisition time (s)")
     p.add_argument("--points", type=int, default=None, help="acquisition points")
-    p.add_argument("--broadening", type=float, default=1.0, help="line broadening (Hz)")
+    p.add_argument("--broadening", type=finite_float, default=1.0, help="line broadening (Hz)")
     p.add_argument("--spectrum-out", default=None, help="spectrum CSV path")
     p.add_argument("--fid-out", default=None, help="FID CSV path")
     return parser
@@ -193,8 +195,8 @@ def cmd_teleport(args) -> int:
         omega=spec["omega"],
     )
     oracle = forward_oracle(circuit, spec["psi"])
-    flow = timeflow_eval(circuit, spec["psi"], enc)
     trace = timeflow_trace(circuit, spec["psi"], enc)
+    flow = OutcomeReport.from_raw(trace[-1][1])
     agreement = bool(
         equal_up_to_global_phase(flow.raw, oracle[0].raw, args.tol)
         and abs(flow.probability - oracle[0].probability) <= args.tol
@@ -249,7 +251,7 @@ def cmd_acausal(args) -> int:
 
 def cmd_nmr(args) -> int:
     system = load_spin_system(args.spin_system)
-    sequence = load_sequence(args.sequence)
+    sequence = load_sequence(args.sequence, system.n)
     rho = run_sequence(system, args.initial, sequence)
     decomposition = pauli_decompose(rho, tol=1e-8)
     report = {

@@ -18,6 +18,7 @@ Three formats live here, all documented with a grammar in
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -34,17 +35,28 @@ def parse_angle(token: str) -> float:
     Accepted pi forms: ``pi``, ``-pi``, ``pi/2``, ``3pi/4``, ``0.5pi``.
     """
     token = token.strip().lower()
-    try:
-        return float(token)
-    except ValueError:
-        pass
     m = _PI_RE.match(token)
-    if not m:
-        raise ValueError(f"cannot parse angle {token!r}")
-    sign = -1.0 if m.group(1) == "-" else 1.0
-    coef = float(m.group(2)) if m.group(2) else 1.0
-    den = float(m.group(3)) if m.group(3) else 1.0
-    return sign * coef * np.pi / den
+    if m:
+        sign = -1.0 if m.group(1) == "-" else 1.0
+        coef = float(m.group(2)) if m.group(2) else 1.0
+        den = float(m.group(3)) if m.group(3) else 1.0
+        value = sign * coef * np.pi / den if den else math.inf
+    else:
+        try:
+            value = float(token)
+        except ValueError:
+            raise ValueError(f"cannot parse angle {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"angle {token!r} is not finite")
+    return value
+
+
+def finite_float(token: str) -> float:
+    """A float literal that must be finite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"number {token!r} is not finite")
+    return value
 
 
 def _content_lines(text: str):
@@ -66,9 +78,9 @@ def parse_spin_system(text: str) -> SpinSystem:
             if key == "spins":
                 spins = int(fields[1])
             elif key == "larmor":
-                larmor = [float(v) for v in fields[1:]]
+                larmor = [finite_float(v) for v in fields[1:]]
             elif key == "j":
-                a, b, val = int(fields[1]), int(fields[2]), float(fields[3])
+                a, b, val = int(fields[1]), int(fields[2]), finite_float(fields[3])
                 couplings[(a - 1, b - 1)] = val
             else:
                 raise ValueError(f"unknown key {key!r}")
@@ -89,34 +101,39 @@ def load_spin_system(path) -> SpinSystem:
         return parse_spin_system(fh.read())
 
 
-def _parse_spin_list(token: str) -> tuple[int, ...]:
-    spins = tuple(int(v) - 1 for v in token.split(","))
-    if any(s < 0 for s in spins):
-        raise ValueError("spin numbers are 1-based")
+def _parse_spins(tokens, n: int | None) -> tuple[int, ...]:
+    """1-based spin numbers to 0-based indices, checked against ``n`` spins."""
+    spins = tuple(int(v) - 1 for v in tokens)
+    for s in spins:
+        if s < 0:
+            raise ValueError("spin numbers are 1-based")
+        if n is not None and s >= n:
+            raise ValueError(f"spin {s + 1} is out of range for a {n}-spin system")
     return spins
 
 
-def parse_sequence(text: str) -> list:
-    """Parse the line-based pulse-sequence format into event objects."""
+def parse_sequence(text: str, n: int | None = None) -> list:
+    """Parse the line-based pulse-sequence format into event objects; with
+    ``n`` given, every spin number must exist in an ``n``-spin system."""
     events = []
     for lineno, line in _content_lines(text):
         fields = line.split()
         kind = fields[0].lower()
         try:
             if kind == "rotation":
-                spins = _parse_spin_list(fields[1])
+                spins = _parse_spins(fields[1].split(","), n)
                 axis = fields[2].lower()
                 if axis.lstrip("+-") not in ("x", "y", "z"):
                     raise ValueError(f"invalid axis {axis!r}")
                 angle = parse_angle(fields[3])
                 events.append(Rotation(spins, axis, angle))
             elif kind == "jcoupling":
-                pair = (int(fields[1]) - 1, int(fields[2]) - 1)
+                pair = _parse_spins((fields[1], fields[2]), n)
                 events.append(JCoupling(pair, parse_angle(fields[3])))
             elif kind == "delay":
-                events.append(Delay(float(fields[1])))
+                events.append(Delay(finite_float(fields[1])))
             elif kind == "gradient":
-                events.append(Gradient(_parse_spin_list(fields[1])))
+                events.append(Gradient(_parse_spins(fields[1].split(","), n)))
             else:
                 raise ValueError(f"unknown event kind {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -124,9 +141,9 @@ def parse_sequence(text: str) -> list:
     return events
 
 
-def load_sequence(path) -> list:
+def load_sequence(path, n: int | None = None) -> list:
     with open(path, encoding="utf-8") as fh:
-        return parse_sequence(fh.read())
+        return parse_sequence(fh.read(), n)
 
 
 _GATE_RE = re.compile(r"^(RX|RY|RZ)\(([^)]+)\)$")
@@ -140,19 +157,12 @@ _FIXED_GATES = {
 }
 
 
-def _matrix_from_pairs(pairs, d: int, field: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.shape != (d * d, 2):
-        raise ValueError(
-            f"field {field!r}: expected {d * d} [re, im] pairs in row-major order"
-        )
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(d, d)
-
-
 def _vector_from_pairs(pairs, dim: int, field: str) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     if arr.shape != (dim, 2):
         raise ValueError(f"field {field!r}: expected {dim} [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"field {field!r}: numbers must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -171,7 +181,7 @@ def parse_gate(value, d: int, field: str) -> np.ndarray:
             angle = parse_angle(m.group(2))
             return {"RX": rx, "RY": ry, "RZ": rz}[m.group(1)](angle)
         raise ValueError(f"field {field!r}: unknown gate name {value!r}")
-    return _matrix_from_pairs(value, d, field)
+    return _vector_from_pairs(value, d * d, field).reshape(d, d)
 
 
 def parse_entangled_state(value, d: int, field: str) -> np.ndarray:

@@ -11,10 +11,11 @@ Systems stay small (dimension <= 2**10), so storage is dense throughout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 ATOL = 1e-10
-PSD_ATOL = 1e-9
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -51,6 +52,17 @@ def transpose(a: np.ndarray) -> np.ndarray:
 def conjugate(a: np.ndarray) -> np.ndarray:
     """Elementwise complex conjugate in the computational basis."""
     return np.conj(a)
+
+
+def apply_local(t: np.ndarray, axis: int, op: np.ndarray) -> np.ndarray:
+    """``out[..., i, ...] = sum_j op[i, j] t[..., j, ...]`` along ``axis``.
+
+    On a tensor with one axis per carrier this is ``1 (x) op (x) 1``; on the
+    column axis of a density matrix, ``conj(op)`` gives ``rho @ dagger(op)``.
+    """
+    t = np.asarray(t)
+    left = math.prod(t.shape[:axis])
+    return (op @ t.reshape(left, t.shape[axis], -1)).reshape(t.shape)
 
 
 def projector(v: np.ndarray) -> np.ndarray:
@@ -146,12 +158,6 @@ def is_hermitian(a: np.ndarray, tol: float = ATOL) -> bool:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     return bool(np.max(np.abs(a - dagger(a))) <= tol)
-
-
-def is_positive_semidefinite(a: np.ndarray, tol: float = PSD_ATOL) -> bool:
-    if not is_hermitian(a, tol=max(tol, ATOL)):
-        return False
-    return bool(np.min(np.linalg.eigvalsh(a)) >= -tol)
 
 
 def equal_up_to_global_phase(x: np.ndarray, y: np.ndarray, tol: float = ATOL) -> bool:

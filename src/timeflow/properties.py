@@ -19,7 +19,6 @@ from .circuits import (
     TeleportCircuit,
     _evolution_chain,
     forward_oracle,
-    timeflow_trace,
 )
 from .linalg import dagger, phase_distance, random_state, random_unitary
 from .reversal import (

@@ -138,14 +138,6 @@ def is_maximally_entangled(phi: np.ndarray, tol: float = ATOL) -> bool:
     return bool(np.max(np.abs(d * reduced - np.eye(d))) <= tol)
 
 
-def entanglement_deviation(phi: np.ndarray) -> float:
-    """``max|d * reduced - 1|``; zero exactly for maximal entanglement."""
-    phi = np.asarray(phi)
-    d = local_dimension(phi)
-    reduced = partial_trace(projector(phi), [d, d], keep=(1,))
-    return float(np.max(np.abs(d * reduced - np.eye(d))))
-
-
 def time_reverse_state(psi: np.ndarray, e: Encoding) -> np.ndarray:
     """Reverse a state's clock: conjugate, then apply the reversal unitary."""
     psi = np.asarray(psi)

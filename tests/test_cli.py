@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import timeflow.circuits as circuits
 from timeflow.cli import main
 from timeflow.formats import vector_pairs
 from timeflow.linalg import random_unitary
@@ -136,6 +140,22 @@ class TestTeleport:
         code, _ = run_cli(capsys, "teleport", "--circuit", "no-such-file.json")
         assert code == 2
 
+    def test_chain_evaluated_once_per_run(self, capsys, monkeypatch):
+        calls = []
+        chain = circuits._evolution_chain
+
+        def counting(*args):
+            calls.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(circuits, "_evolution_chain", counting)
+        code, report = run_json(
+            capsys, "teleport", "--circuit", f"{CONFIGS}/teleport_identity.json"
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert report["timeflow"]["raw"] == report["trace"][-1]["vector"]
+
 
 class TestAcausal:
     def test_branches(self, capsys):
@@ -239,6 +259,34 @@ class TestNmr:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "seq,message",
+        [
+            ("rotation 1 y nan\n", "line 1: angle 'nan' is not finite"),
+            ("rotation 2 y pi/2\ndelay inf\n", "line 2: number 'inf' is not finite"),
+            ("# C9 does not exist\nrotation 9 y pi/2\n", "line 2: spin 9 is out of range"),
+            ("gradient 1,5\n", "line 1: spin 5 is out of range for a 4-spin system"),
+        ],
+    )
+    def test_bad_sequence_is_input_error_with_line(self, capsys, tmp_path, seq, message):
+        path = tmp_path / "bad.seq"
+        path.write_text(seq)
+        code = main(
+            ["nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys", "--sequence", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("line", ["j 1 2 nan", "larmor 0.0 inf 1.0 2.0"])
+    def test_non_finite_spin_system_is_input_error(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.spinsys"
+        path.write_text(f"spins 4\nlarmor 0.0 1.0 2.0 3.0\n{line}\n")
+        code = main(["nmr", "--spin-system", str(path), "--sequence", f"{CONFIGS}/flip_on.seq"])
+        assert code == 2
+        assert "spin-system file line 3" in capsys.readouterr().err
+
     def test_parse_error_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.seq"
         path.write_text("rotation 1 q pi/2\n")
@@ -251,6 +299,32 @@ class TestNmr:
             str(path),
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--tol", "nan"],
+        ["acausal", "--tol", "inf"],
+        ["nmr", "--spin-system", "s", "--sequence", "q", "--duration", "nan"],
+        ["nmr", "--spin-system", "s", "--sequence", "q", "--broadening=-inf"],
+    ],
+)
+def test_non_finite_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid finite_float value" in capsys.readouterr().err
+
+
+def test_cli_imports_without_scipy():
+    code = "import sys; sys.modules['scipy'] = None; import timeflow.cli"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCsvFormat:

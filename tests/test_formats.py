@@ -57,6 +57,14 @@ class TestAngles:
         with pytest.raises(ValueError):
             parse_angle("two pi")
 
+    @pytest.mark.parametrize(
+        "token",
+        ["nan", "inf", "-inf", "1e999", "pi/0", pytest.param("9" * 400 + "pi", id="huge-pi")],
+    )
+    def test_rejects_non_finite(self, token):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_angle(token)
+
 
 class TestSpinSystemFile:
     def test_parse(self):
@@ -83,6 +91,13 @@ class TestSpinSystemFile:
         with pytest.raises(ValueError, match="out of range"):
             parse_spin_system("spins 2\nlarmor 0.0 1.0\nj 1 5 4.0\n")
 
+    @pytest.mark.parametrize(
+        "line", ["larmor 0.0 nan", "larmor inf 1.0", "j 1 2 nan", "j 1 2 -inf"]
+    )
+    def test_non_finite_value_reports_line(self, line):
+        with pytest.raises(ValueError, match="line 3: .*not finite"):
+            parse_spin_system(f"spins 2\nlarmor 0.0 1.0\n{line}\n")
+
 
 class TestSequenceFile:
     def test_parse(self):
@@ -101,6 +116,21 @@ class TestSequenceFile:
     def test_zero_based_spin_rejected(self):
         with pytest.raises(ValueError, match="1-based"):
             parse_sequence("rotation 0 y pi/2\n")
+
+    @pytest.mark.parametrize(
+        "line", ["rotation 1 y nan", "jcoupling 1 2 inf", "delay inf", "delay nan"]
+    )
+    def test_non_finite_value_reports_line(self, line):
+        with pytest.raises(ValueError, match="line 2: .*not finite"):
+            parse_sequence(f"# header\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line", ["rotation 1,9 y pi/2", "jcoupling 9 1 pi/2", "gradient 3,5"]
+    )
+    def test_spin_beyond_the_system_reports_line(self, line):
+        parse_sequence(line)  # no system given: only 1-based is checked
+        with pytest.raises(ValueError, match=r"line 1: spin (9|5) is out of range for a 4-spin"):
+            parse_sequence(line, 4)
 
 
 class TestCircuitFile:
@@ -170,6 +200,23 @@ class TestCircuitFile:
             "psi": [[2.0, 0.0], [0.0, 0.0]],
         }
         with pytest.raises(ValueError, match="normalized"):
+            parse_circuit(obj)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_amplitude_rejected(self, bad):
+        obj = {
+            "d": 2,
+            "u": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [bad, 0.0]],
+            "v": "I",
+            "w": "I",
+            "phi": "PHI+",
+            "omega": "PHI+",
+            "psi": [[bad, 0.0], [0.0, 0.0]],
+        }
+        with pytest.raises(ValueError, match="finite"):
+            parse_circuit(obj)
+        obj["u"] = "I"
+        with pytest.raises(ValueError, match="'psi': numbers must be finite"):
             parse_circuit(obj)
 
     def test_invalid_json_file(self, tmp_path):
