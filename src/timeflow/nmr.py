@@ -256,7 +256,7 @@ def pauli_decompose(rho: np.ndarray, tol: float = 1e-10) -> list[tuple[str, floa
     real coefficients.  The rows and columns of each spin are paired into
     one axis of length 4 and a fixed 4 x 4 trace map is applied per axis
     (the tensorized Pauli decomposition of Hantzko, Binkowski and Gupta,
-    2023), so the cost is O(n 4**n): milliseconds at n = 8.
+    2023), so the cost is O(n 4**n) rather than a matrix product per label.
     """
     rho = np.asarray(rho)
     n = _spin_count(rho)
