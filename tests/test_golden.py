@@ -3,8 +3,9 @@
 Each case runs the CLI and compares its report (and, for acquisition runs,
 the FID and spectrum CSVs) with ``tests/golden/<case>.json``.  Key structure
 must match exactly; numbers must agree to 1e-12, absolute for magnitudes up
-to 1 and relative above.  Config path strings are not compared, since they
-depend on where the checkout lives.
+to 1 and relative above.  Path strings (input files in the config, output
+files) are not compared, since they depend on where the checkout lives; the
+snapshots store them relative.
 
 Regenerating the snapshots changes test data; say which case changed and why
 in CHANGES.md.  To regenerate::
@@ -140,10 +141,21 @@ def test_comparison_catches_a_small_coefficient_change(tmp_path):
         assert_matches(expected, payload)
 
 
+def relative_paths(report: dict, workdir: Path) -> None:
+    """Store path strings relative to the checkout or the output directory,
+    so that a snapshot does not depend on where it was written."""
+    for where in (report, report.get("config", {})):
+        for key in PATH_KEYS & where.keys():
+            path = Path(where[key])
+            base = workdir if path.is_relative_to(workdir) else ROOT
+            where[key] = path.relative_to(base).as_posix()
+
+
 def regenerate(workdir: Path) -> None:
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in sorted(CASES.items()):
         code, payload = run_case(argv, workdir)
+        relative_paths(payload["report"], workdir)
         text = json.dumps({"exit_code": code, **payload}, indent=1, sort_keys=True)
         (GOLDEN / f"{case}.json").write_text(text + "\n", encoding="utf-8")
         print(f"wrote {case}.json (exit {code})")
