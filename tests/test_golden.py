@@ -29,7 +29,7 @@ TOL = 1e-12
 PATH_KEYS = {"circuit", "spin_system", "sequence", "fid_file", "spectrum_file"}
 
 _FOURSPIN = ["--spin-system", "configs/fourspin.spinsys"]
-_ACQUIRE = ["--detect", "1", "--duration", "1.0", "--points", "256"]
+_ACQUIRE = ["--detect", "1", "--duration", "1.0", "--points", "64"]
 _IDENTITY = ["--circuit", "configs/teleport_identity.json"]
 
 CASES = {
@@ -71,7 +71,7 @@ CASES = {
         "--spin-system", "tests/golden/gen6.spinsys",
         "--sequence", "tests/golden/gen6.seq",
         "--initial", "XZ0Y1I",
-        "--detect", "3", "--duration", "0.5", "--points", "128",
+        "--detect", "3", "--duration", "0.5", "--points", "32",
     ],
     "verify-small": ["verify", "--trials", "5", "--dims", "2,3", "--seed", "7"],
 }
