@@ -132,7 +132,7 @@ def entangled_basis(omega: np.ndarray) -> list[np.ndarray]:
     for _m in range(d):
         w = sm.copy()
         for _n in range(d):
-            basis.append(apply_local(omega.reshape(d, d), 0, w).reshape(-1))
+            basis.append((w @ omega.reshape(d, d)).reshape(-1))
             w = w @ clock
         sm = shift @ sm
     return basis

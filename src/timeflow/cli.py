@@ -251,7 +251,14 @@ def cmd_acausal(args) -> int:
 
 def cmd_nmr(args) -> int:
     system = load_spin_system(args.spin_system)
-    sequence = load_sequence(args.sequence, system.n)
+    sequence = load_sequence(args.sequence)
+    for k, event in enumerate(sequence, 1):
+        for s in getattr(event, "spins", getattr(event, "pair", ())):
+            if s >= system.n:
+                raise ValueError(
+                    f"sequence event {k} ({type(event).__name__.lower()}): "
+                    f"spin {s + 1} is out of range for a {system.n}-spin system"
+                )
     rho = run_sequence(system, args.initial, sequence)
     decomposition = pauli_decompose(rho, tol=1e-8)
     report = {

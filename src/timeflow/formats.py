@@ -101,39 +101,34 @@ def load_spin_system(path) -> SpinSystem:
         return parse_spin_system(fh.read())
 
 
-def _parse_spins(tokens, n: int | None) -> tuple[int, ...]:
-    """1-based spin numbers to 0-based indices, checked against ``n`` spins."""
+def _parse_spins(tokens) -> tuple[int, ...]:
     spins = tuple(int(v) - 1 for v in tokens)
-    for s in spins:
-        if s < 0:
-            raise ValueError("spin numbers are 1-based")
-        if n is not None and s >= n:
-            raise ValueError(f"spin {s + 1} is out of range for a {n}-spin system")
+    if any(s < 0 for s in spins):
+        raise ValueError("spin numbers are 1-based")
     return spins
 
 
-def parse_sequence(text: str, n: int | None = None) -> list:
-    """Parse the line-based pulse-sequence format into event objects; with
-    ``n`` given, every spin number must exist in an ``n``-spin system."""
+def parse_sequence(text: str) -> list:
+    """Parse the line-based pulse-sequence format into event objects."""
     events = []
     for lineno, line in _content_lines(text):
         fields = line.split()
         kind = fields[0].lower()
         try:
             if kind == "rotation":
-                spins = _parse_spins(fields[1].split(","), n)
+                spins = _parse_spins(fields[1].split(","))
                 axis = fields[2].lower()
                 if axis.lstrip("+-") not in ("x", "y", "z"):
                     raise ValueError(f"invalid axis {axis!r}")
                 angle = parse_angle(fields[3])
                 events.append(Rotation(spins, axis, angle))
             elif kind == "jcoupling":
-                pair = _parse_spins((fields[1], fields[2]), n)
+                pair = _parse_spins((fields[1], fields[2]))
                 events.append(JCoupling(pair, parse_angle(fields[3])))
             elif kind == "delay":
                 events.append(Delay(finite_float(fields[1])))
             elif kind == "gradient":
-                events.append(Gradient(_parse_spins(fields[1].split(","), n)))
+                events.append(Gradient(_parse_spins(fields[1].split(","))))
             else:
                 raise ValueError(f"unknown event kind {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -141,9 +136,9 @@ def parse_sequence(text: str, n: int | None = None) -> list:
     return events
 
 
-def load_sequence(path, n: int | None = None) -> list:
+def load_sequence(path) -> list:
     with open(path, encoding="utf-8") as fh:
-        return parse_sequence(fh.read(), n)
+        return parse_sequence(fh.read())
 
 
 _GATE_RE = re.compile(r"^(RX|RY|RZ)\(([^)]+)\)$")

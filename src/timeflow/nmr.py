@@ -219,11 +219,8 @@ def gradient_crush(rho: np.ndarray, spins) -> np.ndarray:
     spins = tuple(spins)
     if not spins:
         raise ValueError("gradient needs a nonempty spin subset")
-    zs = _z_signs(_spin_count(rho, spins))
-    mask = np.ones((rho.shape[0], rho.shape[0]), dtype=bool)
-    for spin in spins:
-        mask &= zs[spin][:, None] == zs[spin][None, :]
-    return rho * mask
+    zs = _z_signs(_spin_count(rho, spins))[list(spins)]
+    return rho * np.all(zs[:, :, None] == zs[:, None, :], axis=0)
 
 
 def validate_label(label: str, n: int | None = None) -> str:

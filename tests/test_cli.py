@@ -264,8 +264,12 @@ class TestNmr:
         [
             ("rotation 1 y nan\n", "line 1: angle 'nan' is not finite"),
             ("rotation 2 y pi/2\ndelay inf\n", "line 2: number 'inf' is not finite"),
-            ("# C9 does not exist\nrotation 9 y pi/2\n", "line 2: spin 9 is out of range"),
-            ("gradient 1,5\n", "line 1: spin 5 is out of range for a 4-spin system"),
+            (
+                "# C9 does not exist\ndelay 0.1\nrotation 1,9 y pi/2\n",
+                "event 2 (rotation): spin 9 is out of range for a 4-spin system",
+            ),
+            ("jcoupling 9 1 pi/2\n", "event 1 (jcoupling): spin 9 is out of range"),
+            ("gradient 1,5\n", "event 1 (gradient): spin 5 is out of range for a 4-spin system"),
         ],
     )
     def test_bad_sequence_is_input_error_with_line(self, capsys, tmp_path, seq, message):

@@ -124,13 +124,9 @@ class TestSequenceFile:
         with pytest.raises(ValueError, match="line 2: .*not finite"):
             parse_sequence(f"# header\n{line}\n")
 
-    @pytest.mark.parametrize(
-        "line", ["rotation 1,9 y pi/2", "jcoupling 9 1 pi/2", "gradient 3,5"]
-    )
-    def test_spin_beyond_the_system_reports_line(self, line):
-        parse_sequence(line)  # no system given: only 1-based is checked
-        with pytest.raises(ValueError, match=r"line 1: spin (9|5) is out of range for a 4-spin"):
-            parse_sequence(line, 4)
+    def test_zero_coupling_spin_reports_line(self):
+        with pytest.raises(ValueError, match="line 1: spin numbers are 1-based"):
+            parse_sequence("jcoupling 0 1 pi/2\n")
 
 
 class TestCircuitFile:

@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timeflow.circuits import Gate1, GateCircuit, run_gate_circuit
@@ -461,7 +461,7 @@ class TestSpectralOverlap:
 # now exists only here.  Inputs come from a drawn seed so that every example
 # is reproducible from hypothesis's report.
 
-DENSE = settings(max_examples=25, deadline=None)
+DENSE = settings(max_examples=15, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
 SIGNED_AXES = ("x", "y", "z", "+x", "+y", "+z", "-x", "-y", "-z")
 
@@ -537,7 +537,8 @@ class TestAgainstDenseForms:
         )
 
     @DENSE
-    @given(n=st.integers(1, 6), seed=SEEDS, sparse=st.booleans())
+    @given(n=st.integers(1, 5), seed=SEEDS, sparse=st.booleans())
+    @example(n=6, seed=0, sparse=False)  # the dense oracle takes 0.4 s at n=6
     def test_pauli_decompose(self, n, seed, sparse):
         rng = np.random.default_rng(seed)
         if sparse:
@@ -550,7 +551,7 @@ class TestAgainstDenseForms:
         assert_close([c for _, c in fast], [c for _, c in slow])
 
     @DENSE
-    @given(n=st.integers(1, 6), seed=SEEDS, t=st.floats(-0.01, 0.01))
+    @given(n=st.integers(1, 5), seed=SEEDS, t=st.floats(-0.01, 0.01))
     def test_evolve_with_diagonal_generator(self, n, seed, t):
         expm = pytest.importorskip("scipy.linalg").expm
         rng = np.random.default_rng(seed)
