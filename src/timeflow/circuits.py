@@ -31,6 +31,7 @@ import numpy as np
 
 from .linalg import (
     ATOL,
+    INPUT_TOL,
     SX,
     HADAMARD,
     apply_local,
@@ -93,14 +94,14 @@ class TeleportCircuit:
             g = np.asarray(getattr(self, name), dtype=complex)
             if g.shape != (d, d):
                 raise ValueError(f"{name} must be {d} x {d}")
-            if not is_unitary(g, 1e-8):
+            if not is_unitary(g, INPUT_TOL):
                 raise ValueError(f"{name} is not unitary")
             object.__setattr__(self, name, g)
         for name in ("phi", "omega"):
             s = np.asarray(getattr(self, name), dtype=complex)
             if s.shape != (d * d,):
                 raise ValueError(f"{name} must have length d**2 = {d * d}")
-            if not is_maximally_entangled(s, 1e-8):
+            if not is_maximally_entangled(s, INPUT_TOL):
                 raise ValueError(f"{name} is not maximally entangled")
             object.__setattr__(self, name, s)
 

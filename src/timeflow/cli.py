@@ -34,12 +34,11 @@ from .circuits import (
 from .formats import (
     finite_float, load_circuit, load_sequence, load_spin_system, parse_angle, vector_pairs
 )
-from .linalg import equal_up_to_global_phase
+from .linalg import DEFAULT_TOL, INPUT_TOL, equal_up_to_global_phase
 from .nmr import fid, pauli_decompose, run_sequence, spectrum
 from .reversal import is_maximally_entangled, photon_number, spin_half
 
 DEFAULT_SEED = 1234
-DEFAULT_TOL = 1e-9
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -168,7 +167,7 @@ def cmd_teleport(args) -> int:
         "encoding": enc.name,
         "alpha_phase": args.alpha_phase,
     }
-    if not is_maximally_entangled(spec["phi"], 1e-8):
+    if not is_maximally_entangled(spec["phi"], INPUT_TOL):
         loss = nonmax_loss(spec["phi"], spec["psi"])
         report = {
             "command": "teleport",
@@ -259,8 +258,10 @@ def cmd_nmr(args) -> int:
                     f"sequence event {k} ({type(event).__name__.lower()}): "
                     f"spin {s + 1} is out of range for a {system.n}-spin system"
                 )
+    if args.detect is not None and not 1 <= args.detect <= system.n:
+        raise ValueError(f"--detect {args.detect} is out of range: spins are 1 to {system.n}")
     rho = run_sequence(system, args.initial, sequence)
-    decomposition = pauli_decompose(rho, tol=1e-8)
+    decomposition = pauli_decompose(rho, tol=INPUT_TOL)
     report = {
         "command": "nmr",
         "config": {

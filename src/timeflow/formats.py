@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 
 import numpy as np
 
-from .linalg import HADAMARD, ID2, PAULI, SGATE, basis_state, bell_state, rx, ry, rz
+from .linalg import HADAMARD, ID2, INPUT_TOL, PAULI, SGATE, basis_state, bell_state, rx, ry, rz
 from .nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem
+from .reversal import canonical_pair, photon_number
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d*)?))?$")
 
@@ -118,12 +120,14 @@ def parse_sequence(text: str) -> list:
             if kind == "rotation":
                 spins = _parse_spins(fields[1].split(","))
                 axis = fields[2].lower()
-                if axis.lstrip("+-") not in ("x", "y", "z"):
+                if axis not in ("x", "y", "z", "+x", "+y", "+z", "-x", "-y", "-z"):
                     raise ValueError(f"invalid axis {axis!r}")
                 angle = parse_angle(fields[3])
                 events.append(Rotation(spins, axis, angle))
             elif kind == "jcoupling":
                 pair = _parse_spins((fields[1], fields[2]))
+                if pair[0] == pair[1]:
+                    raise ValueError("jcoupling needs two distinct spins")
                 events.append(JCoupling(pair, parse_angle(fields[3])))
             elif kind == "delay":
                 events.append(Delay(finite_float(fields[1])))
@@ -153,9 +157,18 @@ _FIXED_GATES = {
 
 
 def _vector_from_pairs(pairs, dim: int, field: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.shape != (dim, 2):
+    try:
+        arr = np.asarray(pairs, dtype=object)
+    except ValueError:  # inconsistent nesting
+        arr = np.asarray(None)
+    if arr.shape != (dim, 2) or not all(
+        isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arr.flat
+    ):
         raise ValueError(f"field {field!r}: expected {dim} [re, im] pairs")
+    try:
+        arr = arr.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        arr = np.full(arr.shape, np.inf)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"field {field!r}: numbers must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
@@ -184,9 +197,7 @@ def parse_entangled_state(value, d: int, field: str) -> np.ndarray:
     if isinstance(value, str):
         name = value.strip().upper()
         if name == "MAX":
-            v = np.zeros(d * d, dtype=complex)
-            v[:: d + 1] = 1.0 / np.sqrt(d)
-            return v
+            return canonical_pair(photon_number(d))
         if d != 2:
             raise ValueError(f"field {field!r}: Bell names require d = 2")
         try:
@@ -197,8 +208,10 @@ def parse_entangled_state(value, d: int, field: str) -> np.ndarray:
 
 
 def parse_input_state(value, d: int, field: str = "psi") -> np.ndarray:
-    """A basis index or an amplitude list of length d."""
-    if isinstance(value, int):
+    """A basis index (not a JSON boolean) or an amplitude list of length d."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if not 0 <= value < d:
+            raise ValueError(f"field {field!r}: basis index {value} not in 0..{d - 1}")
         return basis_state(d, value)
     return _vector_from_pairs(value, d, field)
 
@@ -207,10 +220,11 @@ def parse_circuit(obj: dict) -> dict:
     """Parse a circuit JSON object into arrays; keys d, u, v, w, phi, omega, psi."""
     if not isinstance(obj, dict):
         raise ValueError("circuit file must contain a JSON object")
-    try:
-        d = int(obj["d"])
-    except KeyError:
-        raise ValueError("circuit file: missing field 'd'") from None
+    if "d" not in obj:
+        raise ValueError("circuit file: missing field 'd'")
+    d = obj["d"]
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"circuit file: field 'd' must be an integer, got {d!r}")
     if d < 2:
         raise ValueError("circuit file: d must be at least 2")
     out = {"d": d}
@@ -223,7 +237,7 @@ def parse_circuit(obj: dict) -> dict:
         out[field] = parse_entangled_state(obj[field], d, field)
     out["psi"] = parse_input_state(obj["psi"], d)
     norm = np.linalg.norm(out["psi"])
-    if abs(norm - 1.0) > 1e-8:
+    if abs(norm - 1.0) > INPUT_TOL:
         raise ValueError("circuit file: psi must be normalized")
     return out
 

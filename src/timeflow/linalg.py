@@ -15,7 +15,9 @@ import math
 
 import numpy as np
 
-ATOL = 1e-10
+ATOL = 1e-10  # internal identities: encodings, orthonormality, the API default
+INPUT_TOL = 1e-8  # caller-supplied gates, pairs and states; the nmr report cutoff
+DEFAULT_TOL = 1e-9  # the verify suites' pass threshold and the CLI --tol default
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

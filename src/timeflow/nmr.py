@@ -70,6 +70,8 @@ class SpinSystem:
         n = len(larmor)
         if j.shape != (n, n):
             raise ValueError(f"J matrix must be {n} x {n}")
+        if not (np.all(np.isfinite(larmor)) and np.all(np.isfinite(j))):
+            raise ValueError("larmor offsets and J couplings must be finite")
         if np.max(np.abs(j - j.T)) > 0:
             raise ValueError("J matrix must be symmetric")
         if np.max(np.abs(np.diag(j))) > 0:

@@ -1,7 +1,8 @@
 """Randomized verification suites for the library's structural claims.
 
-Each suite draws its trials from a seeded generator, reports the worst
-deviation it saw, and passes iff that deviation is within tolerance.  The
+Every suite takes ``(rng, trials, dims, tol, reverse_gate)``, ignores what
+it does not use, draws its trials from ``rng``, reports the worst deviation
+it saw, and passes iff that deviation is within tolerance.  The
 suites are what ``timeflow verify`` runs; the fault-injection mode replaces
 the gate-reversal rule with a deliberately wrong one (conjugation skipped,
 leaving the adjoint instead of the transpose) to demonstrate that the
@@ -20,7 +21,10 @@ from .circuits import (
     _evolution_chain,
     forward_oracle,
 )
-from .linalg import dagger, phase_distance, random_state, random_unitary
+from .linalg import (
+    DEFAULT_TOL, INPUT_TOL, dagger, partial_trace, phase_distance, projector, random_state,
+    random_unitary,
+)
 from .reversal import (
     Encoding,
     amplitude_matrix,
@@ -35,7 +39,6 @@ from .reversal import (
     state_of_matrix,
     time_reverse_gate,
     time_reverse_state,
-    transfer_matrix,
 )
 
 ALPHA_PHASES = tuple(np.exp(2j * np.pi * k / 8) for k in range(8))
@@ -61,8 +64,7 @@ def faulty_reverse_gate(u: np.ndarray, e: Encoding) -> np.ndarray:
 
 def random_maximally_entangled(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random maximally entangled pair: local unitaries on the uniform pair."""
-    can = np.zeros(d * d, dtype=complex)
-    can[:: d + 1] = 1.0 / np.sqrt(d)
+    can = canonical_pair(photon_number(d))
     return np.kron(random_unitary(d, rng), random_unitary(d, rng)) @ can
 
 
@@ -83,7 +85,14 @@ def _encodings_for(d: int) -> list[Encoding]:
     return [photon_number(d)]
 
 
-def check_correspondence_roundtrip(rng, trials, dims=(2, 3), tol=1e-12):
+def _circuit_draws(rng, trials, dims):
+    """A random circuit and input state per trial and dimension: (d, c, psi)."""
+    for _ in range(trials):
+        for d in dims:
+            yield d, random_circuit(d, rng), random_state(d, rng)
+
+
+def check_correspondence_roundtrip(rng, trials, dims, tol, reverse_gate):
     """state -> matrix -> state is the identity, elementwise, both ways."""
     dev = 0.0
     for _ in range(trials):
@@ -95,7 +104,7 @@ def check_correspondence_roundtrip(rng, trials, dims=(2, 3), tol=1e-12):
     return _result("correspondence_roundtrip", trials, dev, tol)
 
 
-def check_backward_consistency(rng, trials, dims=(2, 3), tol=1e-10):
+def check_backward_consistency(rng, trials, dims, tol, reverse_gate):
     """Reduced-matrix form of the backward state equals the closed form's
     outer product."""
     dev = 0.0
@@ -112,13 +121,11 @@ def check_backward_consistency(rng, trials, dims=(2, 3), tol=1e-10):
     return _result("backward_consistency", trials, dev, tol)
 
 
-def check_entanglement_unitarity(rng, trials, dims=(2, 3), class_tol=1e-8, tol=0.0):
-    """Biconditional: the transfer matrix is unitary exactly for maximally
-    entangled states.  Deviation counts misclassifications."""
-    from .linalg import is_unitary
-
-    bad = 0
-    total = 0
+def check_entanglement_unitarity(rng, trials, dims, tol, reverse_gate):
+    """Biconditional: the transfer matrix is unitary exactly when the reduced
+    state of either carrier is 1/d.  Deviation counts misclassifications, so
+    the suite is exact and reports tolerance 0."""
+    bad = total = 0
     for _ in range(trials):
         for d in dims:
             for phi, expect in (
@@ -126,14 +133,15 @@ def check_entanglement_unitarity(rng, trials, dims=(2, 3), class_tol=1e-8, tol=0
                 (random_state(d * d, rng), None),
             ):
                 total += 1
-                ent = is_maximally_entangled(phi, class_tol)
-                uni = is_unitary(transfer_matrix(phi), class_tol)
+                reduced = partial_trace(projector(phi), [d, d], keep=(1,))
+                ent = np.max(np.abs(d * reduced - np.eye(d))) <= INPUT_TOL
+                uni = is_maximally_entangled(phi, INPUT_TOL)
                 if ent != uni or (expect is not None and ent != expect):
                     bad += 1
-    return _result("entanglement_unitarity", total, bad, tol)
+    return _result("entanglement_unitarity", total, bad, 0.0)
 
 
-def check_local_frame_relation(rng, trials, tol=1e-10):
+def check_local_frame_relation(rng, trials, dims, tol, reverse_gate):
     """(chi (x) 1) applied to the canonical pair reproduces the state, for
     every encoding."""
     dev = 0.0
@@ -147,7 +155,7 @@ def check_local_frame_relation(rng, trials, tol=1e-10):
     return _result("local_frame_relation", trials, dev, tol)
 
 
-def check_conjugation_sign(rng, trials, tol=0.0):
+def check_conjugation_sign(rng, trials, dims, tol, reverse_gate):
     """The reversal unitary's conjugation sign squares to one, exactly."""
     dev = 0.0
     count = 0
@@ -157,10 +165,10 @@ def check_conjugation_sign(rng, trials, tol=0.0):
             g = conjugation_sign(e.matrix)
             dev = max(dev, abs(g * g - 1))
             dev = max(dev, abs(g - e.sign))
-    return _result("conjugation_sign", count, dev, tol)
+    return _result("conjugation_sign", count, dev, 0.0)
 
 
-def check_spin_flip(rng, trials, tol=1e-10):
+def check_spin_flip(rng, trials, dims, tol, reverse_gate):
     """All three spin-component expectations negate under time reversal."""
     dev = 0.0
     for _ in range(trials):
@@ -170,7 +178,7 @@ def check_spin_flip(rng, trials, tol=1e-10):
     return _result("spin_flip", trials, dev, tol)
 
 
-def check_double_reversal(rng, trials, tol=1e-10):
+def check_double_reversal(rng, trials, dims, tol, reverse_gate):
     """Reversing a gate twice gives the gate back, for both signs."""
     dev = 0.0
     for _ in range(trials):
@@ -183,63 +191,44 @@ def check_double_reversal(rng, trials, tol=1e-10):
     return _result("double_reversal", trials, dev, tol)
 
 
-def check_chain_consistency(rng, trials, dims=(2, 3), tol=1e-10, reverse_gate=None):
+def check_chain_consistency(rng, trials, dims, tol, reverse_gate):
     """The return leg of the evolution chain equals the closed form."""
-    reverse_gate = reverse_gate or time_reverse_gate
     dev = 0.0
-    for _ in range(trials):
-        for d in dims:
-            c = random_circuit(d, rng)
-            psi = random_state(d, rng)
-            for e in _encodings_for(d):
-                chain = _evolution_chain(c, psi, e, reverse_gate)
-                dev = max(dev, np.max(np.abs(chain[3][1] - chain[4][1])))
+    for d, c, psi in _circuit_draws(rng, trials, dims):
+        for e in _encodings_for(d):
+            chain = _evolution_chain(c, psi, e, reverse_gate)
+            dev = max(dev, np.max(np.abs(chain[3][1] - chain[4][1])))
     return _result("chain_consistency", trials, dev, tol)
 
 
-def check_semantics_equivalence(
-    rng, trials, dims=(2, 3), tol=1e-10, reverse_gate=None
-):
+def check_semantics_equivalence(rng, trials, dims, tol, reverse_gate):
     """Chain evaluation matches the tensor-product oracle up to global phase."""
-    reverse_gate = reverse_gate or time_reverse_gate
     dev = 0.0
-    for _ in range(trials):
-        for d in dims:
-            c = random_circuit(d, rng)
-            psi = random_state(d, rng)
-            e = _encodings_for(d)[0]
-            chain = _evolution_chain(c, psi, e, reverse_gate)
-            oracle = forward_oracle(c, psi)[0]
-            dev = max(dev, abs(phase_distance(chain[3][1], oracle.raw)))
+    for d, c, psi in _circuit_draws(rng, trials, dims):
+        chain = _evolution_chain(c, psi, _encodings_for(d)[0], reverse_gate)
+        oracle = forward_oracle(c, psi)[0]
+        dev = max(dev, abs(phase_distance(chain[3][1], oracle.raw)))
     return _result("semantics_equivalence", trials, dev, tol)
 
 
-def check_probability_law(rng, trials, dims=(2, 3), tol=1e-10, reverse_gate=None):
+def check_probability_law(rng, trials, dims, tol, reverse_gate):
     """Every outcome probability is 1/d**2 in both semantics."""
-    reverse_gate = reverse_gate or time_reverse_gate
     dev = 0.0
-    for _ in range(trials):
-        for d in dims:
-            c = random_circuit(d, rng)
-            psi = random_state(d, rng)
-            e = _encodings_for(d)[0]
-            chain = _evolution_chain(c, psi, e, reverse_gate)
-            dev = max(dev, abs(np.linalg.norm(chain[3][1]) ** 2 - 1.0 / d**2))
-            reports = forward_oracle(c, psi)
-            for rep in reports.values():
-                dev = max(dev, abs(rep.probability - 1.0 / d**2))
-            dev = max(dev, abs(sum(r.probability for r in reports.values()) - 1.0))
+    for d, c, psi in _circuit_draws(rng, trials, dims):
+        chain = _evolution_chain(c, psi, _encodings_for(d)[0], reverse_gate)
+        dev = max(dev, abs(np.linalg.norm(chain[3][1]) ** 2 - 1.0 / d**2))
+        reports = forward_oracle(c, psi)
+        for rep in reports.values():
+            dev = max(dev, abs(rep.probability - 1.0 / d**2))
+        dev = max(dev, abs(sum(r.probability for r in reports.values()) - 1.0))
     return _result("probability_law", trials, dev, tol)
 
 
-def check_encoding_independence(rng, trials, tol=1e-10, reverse_gate=None):
+def check_encoding_independence(rng, trials, dims, tol, reverse_gate):
     """The chain output is the same vector for every carrier encoding,
     including every unit phase of the spin reversal matrix."""
-    reverse_gate = reverse_gate or time_reverse_gate
     dev = 0.0
-    for _ in range(trials):
-        c = random_circuit(2, rng)
-        psi = random_state(2, rng)
+    for _, c, psi in _circuit_draws(rng, trials, (2,)):
         ref = _evolution_chain(c, psi, photon_number(2), reverse_gate)[3][1]
         for alpha in ALPHA_PHASES:
             out = _evolution_chain(c, psi, spin_half(alpha), reverse_gate)[3][1]
@@ -247,41 +236,34 @@ def check_encoding_independence(rng, trials, tol=1e-10, reverse_gate=None):
     return _result("encoding_independence", trials, dev, tol)
 
 
-# (suite, takes dims, takes reverse_gate, tolerance overridable)
-_SUITES = (
-    (check_correspondence_roundtrip, True, False, True),
-    (check_backward_consistency, True, False, True),
-    (check_entanglement_unitarity, True, False, False),
-    (check_local_frame_relation, False, False, True),
-    (check_conjugation_sign, False, False, False),
-    (check_spin_flip, False, False, True),
-    (check_double_reversal, False, False, True),
-    (check_chain_consistency, True, True, True),
-    (check_semantics_equivalence, True, True, True),
-    (check_probability_law, True, True, True),
-    (check_encoding_independence, False, True, True),
+# Suite k draws from the stream [seed, k], so the order fixes every report.
+SUITES = (
+    check_correspondence_roundtrip,
+    check_backward_consistency,
+    check_entanglement_unitarity,
+    check_local_frame_relation,
+    check_conjugation_sign,
+    check_spin_flip,
+    check_double_reversal,
+    check_chain_consistency,
+    check_semantics_equivalence,
+    check_probability_law,
+    check_encoding_independence,
 )
 
 
 def run_all(
     seed: int,
     trials: int = 100,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     dims=(2, 3),
     faulty: bool = False,
 ) -> list[PropertyResult]:
-    """Run every suite; ``tol`` overrides each suite's default tolerance."""
+    """Run every suite at tolerance ``tol`` (the two exact suites report 0)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    results = []
-    for idx, (fn, takes_dims, takes_reverse, overridable) in enumerate(_SUITES):
-        rng = np.random.default_rng([seed, idx])
-        kwargs = {}
-        if tol is not None and overridable:
-            kwargs["tol"] = tol
-        if takes_dims:
-            kwargs["dims"] = tuple(dims)
-        if takes_reverse and faulty:
-            kwargs["reverse_gate"] = faulty_reverse_gate
-        results.append(fn(rng, trials, **kwargs))
-    return results
+    reverse_gate = faulty_reverse_gate if faulty else time_reverse_gate
+    return [
+        fn(np.random.default_rng([seed, idx]), trials, tuple(dims), tol, reverse_gate)
+        for idx, fn in enumerate(SUITES)
+    ]

@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import (
     ATOL,
+    INPUT_TOL,
     SX,
     SY,
     SZ,
@@ -126,16 +127,12 @@ def transfer_matrix(phi: np.ndarray) -> np.ndarray:
 
 
 def is_maximally_entangled(phi: np.ndarray, tol: float = ATOL) -> bool:
-    """True iff the reduced state of either carrier is 1/d within ``tol``.
+    """True iff :func:`transfer_matrix` is unitary within ``tol``.
 
-    The residual is measured as ``max|d * reduced - 1|``, which equals the
-    unitarity residual of :func:`transfer_matrix`, so this predicate and
-    ``is_unitary(transfer_matrix(phi), tol)`` agree on every input.
+    Since ``T @ dagger(T) = d * tr_1 |phi><phi|``, the residual is also
+    ``max|d * reduced - 1|`` for the reduced state of the second carrier.
     """
-    phi = np.asarray(phi)
-    d = local_dimension(phi)
-    reduced = partial_trace(projector(phi), [d, d], keep=(1,))
-    return bool(np.max(np.abs(d * reduced - np.eye(d))) <= tol)
+    return is_unitary(transfer_matrix(phi), tol)
 
 
 def time_reverse_state(psi: np.ndarray, e: Encoding) -> np.ndarray:
@@ -155,7 +152,7 @@ def time_reverse_gate(u: np.ndarray, e: Encoding) -> np.ndarray:
     u = np.asarray(u)
     if u.shape != (e.d, e.d):
         raise ValueError(f"gate shape {u.shape} != encoding dimension {e.d}")
-    if not is_unitary(u, 1e-8):
+    if not is_unitary(u, INPUT_TOL):
         raise ValueError("gate must be unitary")
     return e.matrix @ u.T @ dagger(e.matrix)
 

@@ -140,6 +140,30 @@ class TestTeleport:
         code, _ = run_cli(capsys, "teleport", "--circuit", "no-such-file.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("d", None),
+            ("d", [2]),
+            ("d", 2.7),
+            ("d", True),
+            ("u", {"a": 1}),
+            ("phi", None),
+            ("psi", True),
+            ("psi", [[1, 0], "x"]),
+        ],
+    )
+    def test_bad_field_type_is_input_error(self, capsys, tmp_path, field, value):
+        obj = json.loads((CONFIGS / "teleport_identity.json").read_text())
+        obj[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code = main(["teleport", "--circuit", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"field '{field}'" in captured.err
+
     def test_chain_evaluated_once_per_run(self, capsys, monkeypatch):
         calls = []
         chain = circuits._evolution_chain
@@ -245,6 +269,17 @@ class TestNmr:
         assert lines[0] == "frequency_hz,real,imaginary"
         assert len(lines) == 257
         assert fid_path.read_text().splitlines()[0] == "time_s,real,imaginary"
+
+    @pytest.mark.parametrize("detect", ["0", "9"])
+    def test_detect_out_of_range(self, capsys, detect):
+        code = main(
+            ["nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys", "--sequence",
+             f"{CONFIGS}/flip_off.seq", "--detect", detect, "--duration", "1.0", "--points", "64"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--detect {detect} is out of range: spins are 1 to 4" in captured.err
 
     def test_detect_without_acquisition_params(self, capsys):
         code, _ = run_cli(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,15 @@ class TestSequenceFile:
         with pytest.raises(ValueError, match="line 1: spin numbers are 1-based"):
             parse_sequence("jcoupling 0 1 pi/2\n")
 
+    @pytest.mark.parametrize("axis", ["--x", "+-y", "xy", "-"])
+    def test_axis_takes_at_most_one_sign(self, axis):
+        with pytest.raises(ValueError, match=re.escape(f"line 2: invalid axis '{axis}'")):
+            parse_sequence(f"delay 0.1\nrotation 1 {axis} pi/2\n")
+
+    def test_self_coupling_reports_line(self):
+        with pytest.raises(ValueError, match="line 1: jcoupling needs two distinct spins"):
+            parse_sequence("jcoupling 2 2 pi/2\n")
+
 
 class TestCircuitFile:
     def test_named_gates(self):
@@ -180,6 +190,45 @@ class TestCircuitFile:
         }
         spec = parse_circuit(obj)
         assert np.allclose(spec["psi"], [0, 0, 1], atol=1e-15)
+
+    @pytest.mark.parametrize("d", [2.7, 2.0, "2", None, [2], True])
+    def test_d_must_be_an_integer(self, d):
+        obj = {"d": d, "u": "I", "v": "I", "w": "I", "phi": "MAX", "omega": "MAX", "psi": 0}
+        with pytest.raises(ValueError, match="field 'd' must be an integer"):
+            parse_circuit(obj)
+
+    @pytest.mark.parametrize("psi", [True, False])
+    def test_boolean_psi_is_not_a_basis_index(self, psi):
+        obj = {"d": 2, "u": "I", "v": "I", "w": "I", "phi": "MAX", "omega": "MAX", "psi": psi}
+        with pytest.raises(ValueError, match="field 'psi': expected 2 \\[re, im\\] pairs"):
+            parse_circuit(obj)
+
+    @pytest.mark.parametrize("psi", [-1, 3])
+    def test_basis_index_out_of_range_names_field(self, psi):
+        obj = {"d": 3, "u": "I", "v": "I", "w": "I", "phi": "MAX", "omega": "MAX", "psi": psi}
+        with pytest.raises(ValueError, match=f"field 'psi': basis index {psi} not in 0..2"):
+            parse_circuit(obj)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": 1},
+            None,
+            7,
+            [[1, 0], [0]],
+            [[1, 0], [[0], [1]]],
+            [["1", "0"]] * 4,
+            [[True, False]] * 4,
+            [[True, 0], [0, 0], [0, 0], [1, 0]],
+        ],
+    )
+    def test_malformed_gate_names_field(self, value):
+        with pytest.raises(ValueError, match="field 'u': expected 4 \\[re, im\\] pairs"):
+            parse_gate(value, 2, "u")
+
+    def test_integer_beyond_float_range_is_not_finite(self):
+        with pytest.raises(ValueError, match="field 'u': numbers must be finite"):
+            parse_gate([[10**400, 0]] * 4, 2, "u")
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="'omega'"):

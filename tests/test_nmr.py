@@ -83,6 +83,19 @@ class TestSpinSystem:
         with pytest.raises(ValueError):
             SpinSystem((0.0,), np.array([[1.0]]))
 
+    @pytest.mark.parametrize(
+        "larmor,j",
+        [
+            ((np.nan, 1.0), [[0.0, 0.0], [0.0, 0.0]]),
+            ((0.0, np.inf), [[0.0, 0.0], [0.0, 0.0]]),
+            ((np.nan, 1.0), [[0.0, np.nan], [np.nan, 0.0]]),
+            ((0.0, 1.0), [[0.0, -np.inf], [-np.inf, 0.0]]),
+        ],
+    )
+    def test_non_finite_values_rejected(self, larmor, j):
+        with pytest.raises(ValueError, match="finite"):
+            SpinSystem(larmor, np.array(j))
+
     def test_from_couplings(self):
         s = two_spin(j=50.0)
         assert s.j[0, 1] == s.j[1, 0] == 50.0

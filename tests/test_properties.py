@@ -1,6 +1,12 @@
-from timeflow.properties import run_all
+import importlib.util
+from pathlib import Path
 
 import pytest
+
+from timeflow.linalg import DEFAULT_TOL
+from timeflow.properties import SUITES, run_all
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def test_all_suites_pass_with_default_tolerances():
@@ -39,3 +45,21 @@ def test_zero_trials_rejected():
 def test_dims_override():
     results = run_all(seed=3, trials=5, dims=(2, 4))
     assert all(r.passed for r in results)
+
+
+def test_default_tolerance_except_exact_suites():
+    results = run_all(seed=4, trials=3)
+    tolerances = {r.name: r.tolerance for r in results}
+    exact = {"entanglement_unitarity", "conjugation_sign"}
+    assert all(tolerances.pop(name) == 0.0 for name in exact)
+    assert set(tolerances.values()) == {DEFAULT_TOL}
+
+
+def test_suite_names_match_benchmark_tracer():
+    # The traced benchmark run finds each suite as properties.check_<name>;
+    # a renamed suite would silently report zero spans there.
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tuple(r.name for r in run_all(seed=0, trials=1)) == tracer.SUITES
+    assert tuple(fn.__name__ for fn in SUITES) == tuple(f"check_{s}" for s in tracer.SUITES)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from timeflow.linalg import (
     projector,
     random_state,
     random_unitary,
+    unitary_deviation,
 )
 from timeflow.reversal import (
     Encoding,
@@ -48,6 +51,14 @@ def random_maxent(d, rng):
 
 def partially_entangled(theta):
     return np.array([np.cos(theta), 0, 0, np.sin(theta)], dtype=complex)
+
+
+def reduced_state_residual(phi):
+    """``max|d * tr_1 |phi><phi| - 1|``: the reduced-state criterion, computed
+    without the transfer matrix."""
+    d = math.isqrt(len(phi))
+    reduced = partial_trace(projector(phi), [d, d], keep=(1,))
+    return np.max(np.abs(d * reduced - np.eye(d)))
 
 
 class TestCorrespondence:
@@ -133,11 +144,26 @@ class TestMaximalEntanglement:
             constructed = random_maxent(d, rng)
             generic = random_state(d * d, rng)
             for phi in (constructed, generic):
-                assert is_maximally_entangled(phi, 1e-8) == is_unitary(
-                    transfer_matrix(phi), 1e-8
-                )
+                by_reduced = reduced_state_residual(phi) <= 1e-8
+                assert is_maximally_entangled(phi, 1e-8) == by_reduced
+                assert is_unitary(transfer_matrix(phi), 1e-8) == by_reduced
             assert is_maximally_entangled(constructed, 1e-8)
             assert not is_maximally_entangled(generic, 1e-8)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_residual_is_the_reduced_state_residual(self, d):
+        # Mix a maximally entangled pair with a generic state so that the
+        # residuals span many scales; the predicate must switch where the
+        # reduced-state residual of the second carrier does, to 1e-14.
+        rng = np.random.default_rng(d)
+        for eps in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0):
+            phi = random_maxent(d, rng) + eps * random_state(d * d, rng)
+            phi /= np.linalg.norm(phi)
+            r = reduced_state_residual(phi)
+            assert abs(unitary_deviation(transfer_matrix(phi)) - r) <= 1e-14
+            assert is_maximally_entangled(phi, r + 1e-14)
+            if r > 1e-13:
+                assert not is_maximally_entangled(phi, r - 1e-14)
 
 
 class TestConjugationSign:
