@@ -74,6 +74,9 @@ CASES = {
         "--detect", "3", "--duration", "0.5", "--points", "32",
     ],
     "verify-small": ["verify", "--trials", "5", "--dims", "2,3", "--seed", "7"],
+    "verify-fault-small": [
+        "verify", "--inject-fault", "--trials", "5", "--dims", "2,3", "--seed", "7"
+    ],
 }
 
 
