@@ -16,7 +16,9 @@ the observer's time; its unnormalized output for the designated outcome is
 
 whose squared norm 1/d**2 is the outcome probability.  The two semantics
 agree up to global phase on every circuit; :func:`timeflow_trace` exposes the
-intermediate legs of the chain for inspection.
+intermediate legs of the chain for inspection.  A :class:`TeleportCircuit`
+may hold stacks of circuits (gates ``(..., d, d)``, pairs ``(..., d**2)``),
+and the chain and the oracle's outcome kernel evaluate every member at once.
 
 :class:`GateCircuit` is a small statevector simulator (qubit carriers,
 single-carrier gates, CNOT/CZ, post-selected projective measurements) used to
@@ -40,6 +42,7 @@ from .linalg import (
     dagger,
     is_unitary,
     kron,
+    transpose,
 )
 from .reversal import (
     Encoding,
@@ -71,6 +74,8 @@ class OutcomeReport:
     @classmethod
     def from_raw(cls, raw: np.ndarray) -> "OutcomeReport":
         raw = np.asarray(raw)
+        if raw.ndim != 1:
+            raise ValueError("an outcome report holds one vector, not a stack")
         norm = np.linalg.norm(raw)
         state = raw / norm if norm > 1e-300 else raw.copy()
         return cls(state=state, probability=float(norm**2), raw=raw)
@@ -79,7 +84,9 @@ class OutcomeReport:
 @dataclass(frozen=True)
 class TeleportCircuit:
     """Three carriers, local unitaries u, v, w, initial pair ``phi`` on
-    carriers 2,3 and measured outcome ``omega`` on carriers 1,2."""
+    carriers 2,3 and measured outcome ``omega`` on carriers 1,2.
+
+    Fields may carry leading batch axes; every member must pass the checks."""
 
     d: int
     u: np.ndarray
@@ -92,14 +99,14 @@ class TeleportCircuit:
         d = self.d
         for name in ("u", "v", "w"):
             g = np.asarray(getattr(self, name), dtype=complex)
-            if g.shape != (d, d):
+            if g.shape[-2:] != (d, d):
                 raise ValueError(f"{name} must be {d} x {d}")
             if not is_unitary(g, INPUT_TOL):
                 raise ValueError(f"{name} is not unitary")
             object.__setattr__(self, name, g)
         for name in ("phi", "omega"):
             s = np.asarray(getattr(self, name), dtype=complex)
-            if s.shape != (d * d,):
+            if s.shape[-1:] != (d * d,):
                 raise ValueError(f"{name} must have length d**2 = {d * d}")
             if not is_maximally_entangled(s, INPUT_TOL):
                 raise ValueError(f"{name} is not maximally entangled")
@@ -139,24 +146,43 @@ def entangled_basis(omega: np.ndarray) -> list[np.ndarray]:
     return basis
 
 
+def _check_input(c: TeleportCircuit, psi) -> np.ndarray:
+    psi = np.asarray(psi)
+    if psi.shape[-1:] != (c.d,):
+        raise ValueError(f"input state must have dimension {c.d}")
+    return psi
+
+
+def _outcome_amplitudes(c: TeleportCircuit, psi: np.ndarray) -> np.ndarray:
+    """Unnormalized carrier-3 vectors of every outcome, ``(..., d**2, d)``.
+
+    Row ``m*d + n`` projects carriers 1,2 of ``(u (x) v (x) w)(|psi> (x) |phi>)``
+    onto ``(shift**m clock**n (x) 1)|omega>``.  With ``x = u psi`` that row is
+    ``transpose(v Phi w^T) Omega^dag clock**-n shift**-m x``: a roll of ``x``
+    by ``m`` and a phase ramp of ``n``, so no basis is built.
+    """
+    psi = _check_input(c, psi)
+    d = c.d
+    x = (c.u @ psi[..., None])[..., 0]
+    k = np.arange(d)
+    rolled = x[..., (k[:, None] + k) % d]  # [m, j] = x[(j + m) % d]
+    ramps = np.exp(-2j * np.pi * np.outer(k, k) / d)  # [n, j]
+    y = (rolled[..., :, None, :] * ramps).reshape(*rolled.shape[:-2], d * d, d)
+    vw_phi = c.v @ c.phi.reshape(*c.phi.shape[:-1], d, d) @ transpose(c.w)
+    omega = c.omega.reshape(*c.omega.shape[:-1], d, d)
+    return y @ (omega.conj() @ vw_phi)
+
+
 def forward_oracle(c: TeleportCircuit, psi: np.ndarray) -> dict[int, OutcomeReport]:
     """Tensor-product evaluation: conditional carrier-3 states per outcome.
 
-    Builds ``(u (x) v (x) w)(|psi> (x) |phi>)`` and projects carriers 1,2
-    onto each element of the entangled basis containing ``omega``.  Outcome 0
-    is the designated ``omega``.  Probabilities sum to 1.
+    Projects ``(u (x) v (x) w)(|psi> (x) |phi>)`` on carriers 1,2 onto each
+    element of :func:`entangled_basis` of ``omega``, through
+    :func:`_outcome_amplitudes`.  Outcome 0 is the designated ``omega``.
+    Probabilities sum to 1.
     """
-    psi = np.asarray(psi)
-    d = c.d
-    if psi.shape != (d,):
-        raise ValueError(f"input state must have dimension {d}")
-    vw_phi = (c.v @ c.phi.reshape(d, d) @ c.w.T).reshape(-1)
-    full = np.kron(c.u @ psi, vw_phi).reshape(d * d, d)
-    reports = {}
-    for k, b in enumerate(entangled_basis(c.omega)):
-        raw = full.T @ b.conj()
-        reports[k] = OutcomeReport.from_raw(raw)
-    return reports
+    raw = _outcome_amplitudes(c, psi)
+    return {k: OutcomeReport.from_raw(r) for k, r in enumerate(raw)}
 
 
 def _evolution_chain(c: TeleportCircuit, psi: np.ndarray, e: Encoding, reverse_gate):
@@ -164,30 +190,31 @@ def _evolution_chain(c: TeleportCircuit, psi: np.ndarray, e: Encoding, reverse_g
 
     ``reverse_gate(u, e)`` supplies the reversed-clock form of a gate; the
     production entry point passes :func:`timeflow.reversal.time_reverse_gate`.
+    Each leg has the batch shape of the circuit and ``psi``.
     """
-    psi = np.asarray(psi)
+    psi = _check_input(c, psi)
     d = c.d
-    if psi.shape != (d,):
-        raise ValueError(f"input state must have dimension {d}")
     if e.d != d:
         raise ValueError(f"encoding dimension {e.d} != circuit dimension {d}")
     chi_omega = local_frame_gate(c.omega, e)
     chi_phi = local_frame_gate(c.phi, e)
     sqrt_d = np.sqrt(d)
+    col = psi[..., None]
 
-    outbound = dagger(chi_omega) @ c.u @ psi
+    outbound = dagger(chi_omega) @ c.u @ col
     first = (e.matrix @ outbound.conj()) / sqrt_d
     second = (e.matrix @ first.conj()) / sqrt_d
     ret = c.w @ reverse_gate(chi_phi, e) @ reverse_gate(c.v, e) @ second
     closed = (
         c.w
         @ transfer_matrix(c.phi)
-        @ c.v.T
+        @ transpose(c.v)
         @ transfer_matrix(c.omega).conj()
         @ c.u
-        @ psi
+        @ col
     ) / d
-    return list(zip(TRACE_LABELS, (outbound, first, second, ret, closed)))
+    legs = (outbound, first, second, ret, closed)
+    return list(zip(TRACE_LABELS, (leg[..., 0] for leg in legs)))
 
 
 def timeflow_trace(

@@ -116,7 +116,13 @@ def _emit(report: dict, rows: list[dict], args) -> None:
 def cmd_verify(args) -> int:
     if args.trials <= 0:
         raise ValueError("--trials must be positive")
-    dims = tuple(int(v) for v in args.dims.split(","))
+    dims = []
+    for entry in args.dims.split(","):
+        try:
+            dims.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--dims entry {entry!r} is not an integer") from None
+    dims = tuple(dims)
     if any(d < 2 for d in dims):
         raise ValueError("--dims entries must be at least 2")
     results = properties.run_all(

@@ -2,9 +2,11 @@
 
 Everything is a plain numpy array of complex128: operators are square 2-D
 arrays, pure states are 1-D amplitude vectors, density matrices are 2-D
-Hermitian arrays.  Composite systems are ordered left to right with carrier 1
-most significant, so ``kron(a, b)`` acts on ``|c1 c2>`` with ``c1`` indexing
-``a`` and the basis index of ``|c1 c2 ... cn>`` is ``sum(c_i * d**(n-i))``.
+Hermitian arrays.  Functions marked "stacked" also take leading batch axes,
+``(..., d, d)`` or ``(..., d)``, and act on each member.  Composite systems
+are ordered left to right with carrier 1 most significant, so ``kron(a, b)``
+acts on ``|c1 c2>`` with ``c1`` indexing ``a`` and the basis index of
+``|c1 c2 ... cn>`` is ``sum(c_i * d**(n-i))``.
 
 Systems stay small (dimension <= 2**10), so storage is dense throughout.
 """
@@ -42,13 +44,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of the last two axes (stacked)."""
+    return transpose(np.conj(a))
 
 
 def transpose(a: np.ndarray) -> np.ndarray:
-    """Transpose in the computational basis."""
-    return np.asarray(a).T
+    """Transpose of the last two axes in the computational basis (stacked)."""
+    return np.swapaxes(a, -1, -2)
 
 
 def conjugate(a: np.ndarray) -> np.ndarray:
@@ -68,9 +70,9 @@ def apply_local(t: np.ndarray, axis: int, op: np.ndarray) -> np.ndarray:
 
 
 def projector(v: np.ndarray) -> np.ndarray:
-    """Outer product |v><v|."""
+    """Outer product |v><v| (stacked)."""
     v = np.asarray(v)
-    return np.outer(v, v.conj())
+    return v[..., :, None] * v[..., None, :].conj()
 
 
 def basis_state(dim: int, k: int) -> np.ndarray:
@@ -113,16 +115,16 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
     ``dims`` lists the subsystem dimensions in carrier order (carrier 1
     first); their product must equal the side of ``rho``.  ``keep`` holds
     0-based subsystem indices; the remaining subsystems are traced out.  The
-    total trace is preserved.
+    total trace is preserved.  Stacked.
     """
     rho = np.asarray(rho)
     dims = [int(d) for d in dims]
     n = len(dims)
     total = int(np.prod(dims))
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("partial_trace expects a square matrix")
-    if rho.shape[0] != total:
-        raise ValueError(f"dims {dims} do not match matrix side {rho.shape[0]}")
+    if rho.shape[-1] != total:
+        raise ValueError(f"dims {dims} do not match matrix side {rho.shape[-1]}")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
@@ -136,22 +138,28 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
         if i not in keep:
             col[i] = row[i]
     out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    sub = "".join(row) + "".join(col) + "->" + out
-    reduced = np.einsum(sub, rho.reshape(dims + dims))
+    sub = "..." + "".join(row) + "".join(col) + "->..." + out
+    lead = rho.shape[:-2]
+    reduced = np.einsum(sub, rho.reshape(*lead, *dims, *dims))
     dk = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reduced.reshape(dk, dk)
+    return reduced.reshape(*lead, dk, dk)
+
+
+def unitary_residuals(a: np.ndarray) -> np.ndarray:
+    """``max|a a^dag - 1|`` of each matrix in a ``(..., d, d)`` stack."""
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("unitarity is defined for square matrices only")
+    return np.max(np.abs(a @ dagger(a) - np.eye(a.shape[-1])), axis=(-2, -1))
 
 
 def unitary_deviation(a: np.ndarray) -> float:
-    """Max-norm residual ``max|a a^dag - 1|`` of a square matrix."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("unitarity is defined for square matrices only")
-    return float(np.max(np.abs(a @ dagger(a) - np.eye(a.shape[0]))))
+    """Max-norm residual ``max|a a^dag - 1|``; the worst member of a stack."""
+    return float(np.max(unitary_residuals(a)))
 
 
 def is_unitary(a: np.ndarray, tol: float = ATOL) -> bool:
-    """True iff ``max|a a^dag - 1| <= tol``."""
+    """True iff ``max|a a^dag - 1| <= tol``; a stack passes iff every member does."""
     return unitary_deviation(a) <= tol
 
 
@@ -173,25 +181,38 @@ def equal_up_to_global_phase(x: np.ndarray, y: np.ndarray, tol: float = ATOL) ->
     return bool(np.abs(np.vdot(x, y)) >= (1.0 - tol) * nx * ny)
 
 
-def phase_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """``1 - |<x|y>| / (||x|| ||y||)``; zero iff equal up to a global phase."""
+def phase_distance(x: np.ndarray, y: np.ndarray):
+    """``1 - |<x|y>| / (||x|| ||y||)``; zero iff equal up to a global phase.
+
+    Stacked over vectors along the last axis: one float per member."""
     x, y = np.asarray(x), np.asarray(y)
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
+    nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
+    if np.any(nx == 0.0) or np.any(ny == 0.0):
         raise ValueError("phase distance is undefined for a zero vector")
-    return float(1.0 - np.abs(np.vdot(x, y)) / (nx * ny))
+    overlap = np.abs(np.sum(x.conj() * y, axis=-1))
+    return 1.0 - overlap / (nx * ny)
+
+
+def gaussian_state(normals: np.ndarray) -> np.ndarray:
+    """Normalized states from ``(..., 2, dim)`` standard normals (real part
+    first), a Haar-distributed direction per member."""
+    v = normals[..., 0, :] + 1j * normals[..., 1, :]
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def haar_unitary(normals: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from the QR decomposition of the Ginibre
+    matrices whose real and imaginary parts are ``(..., 2, d, d)`` normals."""
+    q, r = np.linalg.qr(normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (ph / np.abs(ph))[..., None, :]
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Normalized state with Gaussian amplitudes (Haar-distributed direction)."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return gaussian_state(rng.standard_normal((2, dim)))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return haar_unitary(rng.standard_normal((2, dim, dim)))

@@ -152,13 +152,13 @@ def build_hamiltonian(s: SpinSystem) -> np.ndarray:
     """Free-evolution generator in rad/s; diagonal in the computational basis."""
     n = s.n
     zs = _z_signs(n)
-    diag = np.zeros(2**n)
+    diag = np.zeros(2**n, dtype=complex)
     for i in range(n):
         diag += np.pi * s.larmor[i] * zs[i]
     for i in range(n):
         for jx in range(i):
             diag += (np.pi / 2) * s.j[i, jx] * zs[i] * zs[jx]
-    return np.diag(diag).astype(complex)
+    return np.diag(diag)
 
 
 def evolve(rho: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
@@ -168,11 +168,18 @@ def evolve(rho: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
     matrix elements; any other Hermitian ``h`` is diagonalized first."""
     rho = np.asarray(rho)
     h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("generator must be Hermitian")
+    diag = np.diagonal(h)
+    if np.count_nonzero(h) == np.count_nonzero(diag):
+        # is_hermitian on a diagonal h: each |h_kk - conj(h_kk)| is 2|Im h_kk|,
+        # or NaN when the real part is not finite
+        if not (np.all(np.isfinite(diag.real)) and 2 * np.max(np.abs(diag.imag)) <= ATOL):
+            raise ValueError("generator must be Hermitian")
+        phase = np.exp(-1j * diag.real * t)
+        return rho * np.outer(phase, phase.conj())
     if not is_hermitian(h, ATOL):
         raise ValueError("generator must be Hermitian")
-    if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
-        phase = np.exp(-1j * np.diagonal(h).real * t)
-        return rho * np.outer(phase, phase.conj())
     energies, vecs = np.linalg.eigh(h)
     u = (vecs * np.exp(-1j * energies * t)) @ vecs.conj().T
     return u @ rho @ u.conj().T
@@ -395,8 +402,11 @@ def spectrum(signal: np.ndarray, dwell: float, line_broadening: float = 0.0) -> 
 
     ``line_broadening`` is the Lorentzian full width at half maximum in Hz
     added by the apodization; the frequency axis is centered around zero
-    following the dwell-time convention.
+    following the dwell-time convention.  A negative width, which would
+    amplify the signal's tail, is rejected.
     """
+    if not line_broadening >= 0:
+        raise ValueError(f"line broadening must be non-negative, got {line_broadening}")
     signal = np.asarray(signal)
     n = signal.shape[0]
     times = np.arange(n) * dwell

@@ -8,10 +8,17 @@ the gate-reversal rule with a deliberately wrong one (conjugation skipped,
 leaving the adjoint instead of the transpose) to demonstrate that the
 chain-consistency and semantics-equivalence suites would catch such a
 regression.
+
+Trials run in blocks: each block draws all of its normals in one call, cut
+in the order a trial-by-trial loop over ``linalg.random_unitary`` and
+``linalg.random_state`` would draw them, and every check runs on the stacked
+arrays.  A block's size depends only on the largest dimension, so memory
+does not grow with the trial count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +26,19 @@ import numpy as np
 from .circuits import (
     TeleportCircuit,
     _evolution_chain,
-    forward_oracle,
+    _outcome_amplitudes,
 )
 from .linalg import (
-    DEFAULT_TOL, INPUT_TOL, dagger, partial_trace, phase_distance, projector, random_state,
-    random_unitary,
+    DEFAULT_TOL,
+    INPUT_TOL,
+    dagger,
+    gaussian_state,
+    haar_unitary,
+    partial_trace,
+    phase_distance,
+    projector,
+    transpose,
+    unitary_residuals,
 )
 from .reversal import (
     Encoding,
@@ -31,7 +46,6 @@ from .reversal import (
     backward_state,
     canonical_pair,
     conjugation_sign,
-    is_maximally_entangled,
     local_frame_gate,
     photon_number,
     spin_half,
@@ -39,9 +53,14 @@ from .reversal import (
     state_of_matrix,
     time_reverse_gate,
     time_reverse_state,
+    transfer_matrix,
 )
 
 ALPHA_PHASES = tuple(np.exp(2j * np.pi * k / 8) for k in range(8))
+
+# A block holds as many trials as keep its largest stacked array near this
+# many complex elements.
+BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -62,21 +81,29 @@ def faulty_reverse_gate(u: np.ndarray, e: Encoding) -> np.ndarray:
     return e.matrix @ dagger(u) @ dagger(e.matrix)
 
 
+def _pairs(normals: np.ndarray) -> np.ndarray:
+    """Maximally entangled pairs from ``(..., 2, 2, d, d)`` normals: two
+    Haar local unitaries ``a (x) b`` on the uniform pair ``sum_k |kk> / sqrt(d)``."""
+    a, b = np.moveaxis(haar_unitary(normals), -3, 0)
+    d = a.shape[-1]
+    return (a @ transpose(b)).reshape(*a.shape[:-2], d * d) / np.sqrt(d)
+
+
 def random_maximally_entangled(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random maximally entangled pair: local unitaries on the uniform pair."""
-    can = canonical_pair(photon_number(d))
-    return np.kron(random_unitary(d, rng), random_unitary(d, rng)) @ can
+    return _pairs(rng.standard_normal((2, 2, d, d)))
+
+
+def _circuit(d: int, normals: np.ndarray) -> TeleportCircuit:
+    """Circuits from ``(..., 7, 2, d, d)`` normals: u, v, w, then the local
+    unitaries of phi and of omega."""
+    u, v, w = np.moveaxis(haar_unitary(normals[..., :3, :, :, :]), -3, 0)
+    phi, omega = _pairs(normals[..., 3:5, :, :, :]), _pairs(normals[..., 5:, :, :, :])
+    return TeleportCircuit(d=d, u=u, v=v, w=w, phi=phi, omega=omega)
 
 
 def random_circuit(d: int, rng: np.random.Generator) -> TeleportCircuit:
-    return TeleportCircuit(
-        d=d,
-        u=random_unitary(d, rng),
-        v=random_unitary(d, rng),
-        w=random_unitary(d, rng),
-        phi=random_maximally_entangled(d, rng),
-        omega=random_maximally_entangled(d, rng),
-    )
+    return _circuit(d, rng.standard_normal((7, 2, d, d)))
 
 
 def _encodings_for(d: int) -> list[Encoding]:
@@ -85,39 +112,60 @@ def _encodings_for(d: int) -> list[Encoding]:
     return [photon_number(d)]
 
 
+def _blocks(rng, trials, layouts, cost):
+    """Stacked normals for blocks of trials, in trial-by-trial draw order.
+
+    ``layouts`` holds, per stream part (one per dimension), the shapes that a
+    trial draws there in turn.  Each block is one ``standard_normal`` call of
+    ``max(1, BLOCK_ELEMENTS // cost)`` trials; it yields, per part, one
+    ``(trials, *shape)`` array per shape.
+    """
+    ends = np.cumsum([math.prod(shape) for layout in layouts for shape in layout])
+    per_block = max(1, BLOCK_ELEMENTS // cost)
+    for start in range(0, trials, per_block):
+        b = min(per_block, trials - start)
+        pieces = iter(np.split(rng.standard_normal((b, ends[-1])), ends[:-1], axis=1))
+        yield [[next(pieces).reshape(b, *shape) for shape in layout] for layout in layouts]
+
+
 def _circuit_draws(rng, trials, dims):
-    """A random circuit and input state per trial and dimension: (d, c, psi)."""
-    for _ in range(trials):
-        for d in dims:
-            yield d, random_circuit(d, rng), random_state(d, rng)
+    """Stacked random circuits and input states per block and dimension:
+    ``(d, c, psi)``."""
+    layouts = [((7, 2, d, d), (2, d)) for d in dims]
+    for block in _blocks(rng, trials, layouts, max(dims) ** 3):
+        for d, (gates, psi) in zip(dims, block):
+            yield d, _circuit(d, gates), gaussian_state(psi)
 
 
 def check_correspondence_roundtrip(rng, trials, dims, tol, reverse_gate):
     """state -> matrix -> state is the identity, elementwise, both ways."""
     dev = 0.0
-    for _ in range(trials):
-        for d in dims:
-            phi = random_state(d * d, rng)
+    layouts = [((2, d * d), (2, d, d)) for d in dims]
+    for block in _blocks(rng, trials, layouts, max(dims) ** 2):
+        for state, matrix in block:
+            phi = gaussian_state(state)
+            q = matrix[:, 0] + 1j * matrix[:, 1]
             dev = max(dev, np.max(np.abs(state_of_matrix(amplitude_matrix(phi)) - phi)))
-            q = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             dev = max(dev, np.max(np.abs(amplitude_matrix(state_of_matrix(q)) - q)))
     return _result("correspondence_roundtrip", trials, dev, tol)
 
 
 def check_backward_consistency(rng, trials, dims, tol, reverse_gate):
     """Reduced-matrix form of the backward state equals the closed form's
-    outer product."""
+    outer product.
+
+    Per block: one normal draw holding, per trial and dimension, the input
+    state, a maximally entangled pair and a random pair; then, per dimension,
+    one uniform per trial that keeps the maximally entangled pair below 0.5.
+    """
     dev = 0.0
-    for _ in range(trials):
-        for d in dims:
-            psi = random_state(d, rng)
-            phi = (
-                random_maximally_entangled(d, rng)
-                if rng.random() < 0.5
-                else random_state(d * d, rng)
-            )
-            rho, psi_bar = backward_state(psi, phi)
-            dev = max(dev, np.max(np.abs(rho - np.outer(psi_bar, psi_bar.conj()))))
+    layouts = [((2, d), (2, 2, d, d), (2, d * d)) for d in dims]
+    for block in _blocks(rng, trials, layouts, max(dims) ** 4):
+        for psi, pair, state in block:
+            keep_pair = rng.random(len(psi)) < 0.5
+            phi = np.where(keep_pair[:, None], _pairs(pair), gaussian_state(state))
+            rho, psi_bar = backward_state(gaussian_state(psi), phi)
+            dev = max(dev, np.max(np.abs(rho - projector(psi_bar))))
     return _result("backward_consistency", trials, dev, tol)
 
 
@@ -125,32 +173,32 @@ def check_entanglement_unitarity(rng, trials, dims, tol, reverse_gate):
     """Biconditional: the transfer matrix is unitary exactly when the reduced
     state of either carrier is 1/d.  Deviation counts misclassifications, so
     the suite is exact and reports tolerance 0."""
-    bad = total = 0
-    for _ in range(trials):
-        for d in dims:
-            for phi, expect in (
-                (random_maximally_entangled(d, rng), True),
-                (random_state(d * d, rng), None),
-            ):
-                total += 1
+    bad = 0
+    layouts = [((2, 2, d, d), (2, d * d)) for d in dims]
+    for block in _blocks(rng, trials, layouts, max(dims) ** 4):
+        for d, (pair, state) in zip(dims, block):
+            for phi, expect in ((_pairs(pair), True), (gaussian_state(state), None)):
                 reduced = partial_trace(projector(phi), [d, d], keep=(1,))
-                ent = np.max(np.abs(d * reduced - np.eye(d))) <= INPUT_TOL
-                uni = is_maximally_entangled(phi, INPUT_TOL)
-                if ent != uni or (expect is not None and ent != expect):
-                    bad += 1
-    return _result("entanglement_unitarity", total, bad, 0.0)
+                ent = np.max(np.abs(d * reduced - np.eye(d)), axis=(-2, -1)) <= INPUT_TOL
+                uni = unitary_residuals(transfer_matrix(phi)) <= INPUT_TOL
+                wrong = ent != uni
+                if expect is not None:
+                    wrong |= ent != expect
+                bad += int(np.count_nonzero(wrong))
+    return _result("entanglement_unitarity", 2 * trials * len(dims), bad, 0.0)
 
 
 def check_local_frame_relation(rng, trials, dims, tol, reverse_gate):
     """(chi (x) 1) applied to the canonical pair reproduces the state, for
     every encoding."""
     dev = 0.0
-    for _ in range(trials):
-        for e in _encodings_for(2):
-            psi = random_maximally_entangled(2, rng)
+    encodings = _encodings_for(2)
+    for ((normals,),) in _blocks(rng, trials, [((len(encodings), 2, 2, 2, 2),)], 2**2):
+        pairs = _pairs(normals)
+        for k, e in enumerate(encodings):
+            psi = pairs[:, k]
             chi = local_frame_gate(psi, e)
-            d = e.d
-            rebuilt = (chi @ canonical_pair(e).reshape(d, d)).reshape(-1)
+            rebuilt = (chi @ canonical_pair(e).reshape(2, 2)).reshape(psi.shape)
             dev = max(dev, np.max(np.abs(rebuilt - psi)))
     return _result("local_frame_relation", trials, dev, tol)
 
@@ -171,8 +219,8 @@ def check_conjugation_sign(rng, trials, dims, tol, reverse_gate):
 def check_spin_flip(rng, trials, dims, tol, reverse_gate):
     """All three spin-component expectations negate under time reversal."""
     dev = 0.0
-    for _ in range(trials):
-        psi = random_state(2, rng)
+    for ((normals,),) in _blocks(rng, trials, [((2, 2),)], 2**2):
+        psi = gaussian_state(normals)
         rev = time_reverse_state(psi, spin_half())
         dev = max(dev, np.max(np.abs(spin_expectations(rev) + spin_expectations(psi))))
     return _result("spin_flip", trials, dev, tol)
@@ -181,9 +229,11 @@ def check_spin_flip(rng, trials, dims, tol, reverse_gate):
 def check_double_reversal(rng, trials, dims, tol, reverse_gate):
     """Reversing a gate twice gives the gate back, for both signs."""
     dev = 0.0
-    for _ in range(trials):
-        for e in _encodings_for(2):
-            u = random_unitary(2, rng)
+    encodings = _encodings_for(2)
+    for ((normals,),) in _blocks(rng, trials, [((len(encodings), 2, 2, 2),)], 2**2):
+        gates = haar_unitary(normals)
+        for k, e in enumerate(encodings):
+            u = gates[:, k]
             dev = max(
                 dev,
                 np.max(np.abs(time_reverse_gate(time_reverse_gate(u, e), e) - u)),
@@ -206,8 +256,8 @@ def check_semantics_equivalence(rng, trials, dims, tol, reverse_gate):
     dev = 0.0
     for d, c, psi in _circuit_draws(rng, trials, dims):
         chain = _evolution_chain(c, psi, _encodings_for(d)[0], reverse_gate)
-        oracle = forward_oracle(c, psi)[0]
-        dev = max(dev, abs(phase_distance(chain[3][1], oracle.raw)))
+        oracle = _outcome_amplitudes(c, psi)[..., 0, :]
+        dev = max(dev, np.max(np.abs(phase_distance(chain[3][1], oracle))))
     return _result("semantics_equivalence", trials, dev, tol)
 
 
@@ -216,11 +266,11 @@ def check_probability_law(rng, trials, dims, tol, reverse_gate):
     dev = 0.0
     for d, c, psi in _circuit_draws(rng, trials, dims):
         chain = _evolution_chain(c, psi, _encodings_for(d)[0], reverse_gate)
-        dev = max(dev, abs(np.linalg.norm(chain[3][1]) ** 2 - 1.0 / d**2))
-        reports = forward_oracle(c, psi)
-        for rep in reports.values():
-            dev = max(dev, abs(rep.probability - 1.0 / d**2))
-        dev = max(dev, abs(sum(r.probability for r in reports.values()) - 1.0))
+        chain_prob = np.linalg.norm(chain[3][1], axis=-1) ** 2
+        probs = np.linalg.norm(_outcome_amplitudes(c, psi), axis=-1) ** 2
+        dev = max(dev, np.max(np.abs(chain_prob - 1.0 / d**2)))
+        dev = max(dev, np.max(np.abs(probs - 1.0 / d**2)))
+        dev = max(dev, np.max(np.abs(np.sum(probs, axis=-1) - 1.0)))
     return _result("probability_law", trials, dev, tol)
 
 

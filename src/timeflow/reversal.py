@@ -14,6 +14,9 @@ inversion.  That unitary, together with its conjugation sign, is what an
 :class:`Encoding` packages.  For a spin-1/2 carrier the unitary is
 ``alpha * sigma_y`` (any unit phase ``alpha``) and the sign is -1; for a
 photon-number carrier it is the identity with sign +1.
+
+The state and gate functions below take leading batch axes: ``(..., d**2)``
+pairs, ``(..., d)`` states and ``(..., d, d)`` gates, acting on each member.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .linalg import (
     is_unitary,
     partial_trace,
     projector,
+    transpose,
 )
 
 
@@ -94,11 +98,11 @@ ENCODINGS = {"spin": spin_half, "photon": photon_number}
 def local_dimension(phi: np.ndarray) -> int:
     """Local carrier dimension d of a bipartite state vector of length d**2."""
     phi = np.asarray(phi)
-    if phi.ndim != 1:
-        raise ValueError("expected a 1-D amplitude vector")
-    d = math.isqrt(phi.shape[0])
-    if d * d != phi.shape[0]:
-        raise ValueError(f"length {phi.shape[0]} is not a perfect square")
+    if phi.ndim < 1:
+        raise ValueError("expected an amplitude vector")
+    d = math.isqrt(phi.shape[-1])
+    if d * d != phi.shape[-1]:
+        raise ValueError(f"length {phi.shape[-1]} is not a perfect square")
     return d
 
 
@@ -109,15 +113,15 @@ def amplitude_matrix(phi: np.ndarray) -> np.ndarray:
     """
     phi = np.asarray(phi)
     d = local_dimension(phi)
-    return phi.reshape(d, d).T.copy()
+    return transpose(phi.reshape(*phi.shape[:-1], d, d)).copy()
 
 
 def state_of_matrix(q: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`amplitude_matrix`."""
     q = np.asarray(q)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+    if q.ndim < 2 or q.shape[-1] != q.shape[-2]:
         raise ValueError("expected a square matrix")
-    return q.T.reshape(-1).copy()
+    return transpose(q).reshape(*q.shape[:-2], -1)
 
 
 def transfer_matrix(phi: np.ndarray) -> np.ndarray:
@@ -138,9 +142,9 @@ def is_maximally_entangled(phi: np.ndarray, tol: float = ATOL) -> bool:
 def time_reverse_state(psi: np.ndarray, e: Encoding) -> np.ndarray:
     """Reverse a state's clock: conjugate, then apply the reversal unitary."""
     psi = np.asarray(psi)
-    if psi.shape[0] != e.d:
-        raise ValueError(f"state dimension {psi.shape[0]} != encoding dimension {e.d}")
-    return e.matrix @ conjugate(psi)
+    if psi.shape[-1] != e.d:
+        raise ValueError(f"state dimension {psi.shape[-1]} != encoding dimension {e.d}")
+    return conjugate(psi) @ transpose(e.matrix)
 
 
 def time_reverse_gate(u: np.ndarray, e: Encoding) -> np.ndarray:
@@ -150,11 +154,11 @@ def time_reverse_gate(u: np.ndarray, e: Encoding) -> np.ndarray:
     equivalent to applying this matrix on the reversed state.
     """
     u = np.asarray(u)
-    if u.shape != (e.d, e.d):
+    if u.shape[-2:] != (e.d, e.d):
         raise ValueError(f"gate shape {u.shape} != encoding dimension {e.d}")
     if not is_unitary(u, INPUT_TOL):
         raise ValueError("gate must be unitary")
-    return e.matrix @ u.T @ dagger(e.matrix)
+    return e.matrix @ transpose(u) @ dagger(e.matrix)
 
 
 def canonical_pair(e: Encoding) -> np.ndarray:
@@ -172,11 +176,11 @@ def local_frame_gate(psi: np.ndarray, e: Encoding, tol: float = ATOL) -> np.ndar
     unitary exists.
     """
     psi = np.asarray(psi)
-    if psi.shape[0] != e.d * e.d:
+    if psi.shape[-1:] != (e.d * e.d,):
         raise ValueError("state does not match the encoding's carrier dimension")
     if not is_maximally_entangled(psi, tol):
         raise ValueError("state is not maximally entangled")
-    return transfer_matrix(psi).T @ conjugate(e.matrix)
+    return transpose(transfer_matrix(psi)) @ conjugate(e.matrix)
 
 
 def backward_state(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,15 +195,17 @@ def backward_state(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.nda
     psi = np.asarray(psi)
     phi = np.asarray(phi)
     d = local_dimension(phi)
-    if psi.shape[0] != d:
-        raise ValueError(f"input dimension {psi.shape[0]} != carrier dimension {d}")
+    if psi.shape[-1] != d:
+        raise ValueError(f"input dimension {psi.shape[-1]} != carrier dimension {d}")
+    # kron prepends unit axes to the identity, so it acts member by member
     op = np.kron(projector(psi), np.eye(d)) @ projector(phi)
     rho = partial_trace(op, [d, d], keep=(1,))
-    psi_bar = amplitude_matrix(phi) @ conjugate(psi)
+    psi_bar = (amplitude_matrix(phi) @ conjugate(psi)[..., None])[..., 0]
     return rho, psi_bar
 
 
 def spin_expectations(psi: np.ndarray) -> np.ndarray:
     """Expectation values of the three spin-1/2 components (hbar = 1)."""
     psi = np.asarray(psi)
-    return np.array([np.vdot(psi, (p / 2) @ psi).real for p in (SX, SY, SZ)])
+    spins = np.stack((SX, SY, SZ)) / 2
+    return np.einsum("...i,kij,...j->...k", psi.conj(), spins, psi).real

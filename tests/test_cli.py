@@ -52,6 +52,11 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "--trials", "0")
         assert code == 2
 
+    def test_non_integer_dims_entry_names_the_flag(self, capsys):
+        code = main(["verify", "--dims", "2,x"])
+        assert code == 2
+        assert "--dims entry 'x' is not an integer" in capsys.readouterr().err
+
     def test_deterministic_payload(self, capsys):
         _, first = run_cli(capsys, "verify", "--trials", "10", "--seed", "3")
         _, second = run_cli(capsys, "verify", "--trials", "10", "--seed", "3")
@@ -354,6 +359,18 @@ def test_non_finite_flag_is_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "invalid finite_float value" in capsys.readouterr().err
+
+
+def test_negative_broadening_is_input_error(capsys, tmp_path):
+    spectrum_path = tmp_path / "spectrum.csv"
+    code = main([
+        "nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys",
+        "--sequence", f"{CONFIGS}/flip_on.seq", "--detect", "1", "--points", "8",
+        "--duration", "1", "--broadening=-1e4", "--spectrum-out", str(spectrum_path),
+    ])
+    assert code == 2
+    assert "line broadening must be non-negative" in capsys.readouterr().err
+    assert not spectrum_path.exists()
 
 
 def test_cli_imports_without_scipy():

@@ -184,6 +184,33 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(X, np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
+    def test_dense_non_hermitian_rejected(self):
+        rng = np.random.default_rng(62)
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve(np.eye(4, dtype=complex), h, 0.1)
+
+    @pytest.mark.parametrize("entry", [0.6e-10j, -0.6e-10j, np.nan, np.inf, 1j * np.nan])
+    def test_diagonal_generator_checked_like_a_dense_one(self, entry):
+        # max|h - h^dag| of a diagonal h is 2 max|Im h_kk| (NaN if not finite),
+        # so an imaginary part just above ATOL / 2 must fail
+        h = build_hamiltonian(two_spin(37.0, -11.0, 8.0))
+        h[2, 2] += entry
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve(np.eye(4, dtype=complex), h, 0.1)
+
+    def test_diagonal_generator_within_tolerance_accepted(self):
+        h = build_hamiltonian(two_spin(37.0, -11.0, 8.0))
+        rho = pseudopure_init("X0")
+        expected = evolve(rho, h, 0.1)
+        h[2, 2] += 0.4e-10j
+        assert np.array_equal(evolve(rho, h, 0.1), expected)
+
+    def test_hamiltonian_is_complex_diagonal(self):
+        h = build_hamiltonian(two_spin(37.0, -11.0, 8.0))
+        assert h.dtype == complex
+        assert np.count_nonzero(h - np.diag(np.diagonal(h))) == 0
+
 
 class TestRotations:
     def test_y_quarter_turn_takes_z_to_x(self):
@@ -407,6 +434,11 @@ class TestSpectrum:
     def test_zero_signal(self):
         spec = spectrum(np.zeros(64, dtype=complex), 1e-3)
         assert np.max(np.abs(spec.intensities)) == 0
+
+    @pytest.mark.parametrize("width", [-1e4, -1e-3, np.nan])
+    def test_negative_broadening_rejected(self, width):
+        with pytest.raises(ValueError, match="line broadening"):
+            spectrum(np.ones(8, dtype=complex), 0.125, line_broadening=width)
 
     def test_readout_multiplet_of_initial_state(self):
         # X00Z on four spins: C1 lines at nu1 + (J12 + J13 +- J14)/2, amplitudes +-
