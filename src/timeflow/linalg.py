@@ -50,7 +50,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def transpose(a: np.ndarray) -> np.ndarray:
     """Transpose of the last two axes in the computational basis (stacked)."""
-    return np.swapaxes(a, -1, -2)
+    return np.asarray(a).swapaxes(-1, -2)
 
 
 def conjugate(a: np.ndarray) -> np.ndarray:
@@ -150,12 +150,12 @@ def unitary_residuals(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("unitarity is defined for square matrices only")
-    return np.max(np.abs(a @ dagger(a) - np.eye(a.shape[-1])), axis=(-2, -1))
+    return np.abs(a @ dagger(a) - np.eye(a.shape[-1])).max(axis=(-2, -1))
 
 
 def unitary_deviation(a: np.ndarray) -> float:
     """Max-norm residual ``max|a a^dag - 1|``; the worst member of a stack."""
-    return float(np.max(unitary_residuals(a)))
+    return float(unitary_residuals(a).max())
 
 
 def is_unitary(a: np.ndarray, tol: float = ATOL) -> bool:
