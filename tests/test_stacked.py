@@ -189,11 +189,14 @@ class TestStackedChecks:
             TeleportCircuit(d, **dict(fields, omega=np.ones((3, 9)) / 3))
 
 
+def _circuit(d):
+    return [("unitary", d)] * 7 + [("state", d)]
+
+
 # Per trial and dimension, what each normal-only suite draws in the scalar
 # order: ("unitary", d) is random_unitary, ("state", n) is random_state, and
 # ("normals", shape) is a plain complex Gaussian matrix the suites do not
 # hand to either constructor.
-_CIRCUIT = lambda d: [("unitary", d)] * 7 + [("state", d)]  # noqa: E731
 DRAWS = {
     "correspondence_roundtrip": (
         None, lambda d: [("state", d * d), ("normals", (2, d, d))]
@@ -202,10 +205,10 @@ DRAWS = {
     "local_frame_relation": ((2,), lambda d: [("unitary", d)] * 6),
     "spin_flip": ((2,), lambda d: [("state", d)]),
     "double_reversal": ((2,), lambda d: [("unitary", d)] * 3),
-    "chain_consistency": (None, _CIRCUIT),
-    "semantics_equivalence": (None, _CIRCUIT),
-    "probability_law": (None, _CIRCUIT),
-    "encoding_independence": ((2,), _CIRCUIT),
+    "chain_consistency": (None, _circuit),
+    "semantics_equivalence": (None, _circuit),
+    "probability_law": (None, _circuit),
+    "encoding_independence": ((2,), _circuit),
 }
 SUITE_INDEX = {fn.__name__[len("check_"):]: k for k, fn in enumerate(properties.SUITES)}
 
