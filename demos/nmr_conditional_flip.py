@@ -8,10 +8,12 @@ up orthogonally different although nothing touched it after the coupling.
 Only a quarter of the initial coherence survives the crushers.
 
 Run:  python demos/nmr_conditional_flip.py
-Writes: demo_spectrum_initial.csv, demo_spectrum_flip_{off,on}.csv
+Writes: demo_spectrum_initial.csv, demo_spectrum_flip_{off,on}.csv in the
+        current directory
 """
 
 import csv
+from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from timeflow.nmr import (
     spectrum,
 )
 
-system = load_spin_system("configs/fourspin.spinsys")
+system = load_spin_system(Path(__file__).resolve().parents[1] / "configs/fourspin.spinsys")
 POINTS, DURATION, BROADENING = 8192, 2.0, 1.0
 
 

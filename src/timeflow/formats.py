@@ -25,7 +25,7 @@ import re
 import numpy as np
 
 from .linalg import HADAMARD, ID2, INPUT_TOL, PAULI, SGATE, basis_state, bell_state, rx, ry, rz
-from .nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem
+from .nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem, split_axis
 from .reversal import canonical_pair, photon_number
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d*)?))?$")
@@ -72,18 +72,26 @@ def parse_spin_system(text: str) -> SpinSystem:
     """Parse the key-value spin-system format."""
     spins = None
     larmor = None
-    couplings: dict[tuple[int, int], float] = {}
+    couplings: dict[tuple[int, int], float] = {}  # by 1-based pair, lower spin first
+    lines: dict[tuple[int, int], int] = {}  # each pair's line, checked after the loop
     for lineno, line in _content_lines(text):
         fields = line.split()
         key = fields[0].lower()
         try:
             if key == "spins":
                 spins = int(fields[1])
+                if spins < 1:
+                    raise ValueError(f"need at least 1 spin, got {spins}")
             elif key == "larmor":
                 larmor = [finite_float(v) for v in fields[1:]]
             elif key == "j":
                 a, b, val = int(fields[1]), int(fields[2]), finite_float(fields[3])
-                couplings[(a - 1, b - 1)] = val
+                if a == b:
+                    raise ValueError(f"self-coupling of spin {a} is not allowed")
+                pair = (min(a, b), max(a, b))
+                if pair in lines:
+                    raise ValueError(f"coupling of spins {a} and {b} repeats line {lines[pair]}")
+                couplings[pair], lines[pair] = val, lineno
             else:
                 raise ValueError(f"unknown key {key!r}")
         except (IndexError, ValueError) as exc:
@@ -92,10 +100,14 @@ def parse_spin_system(text: str) -> SpinSystem:
         raise ValueError("spin-system file: missing 'spins' line")
     if larmor is None or len(larmor) != spins:
         raise ValueError(f"spin-system file: need exactly {spins} larmor values")
-    for a, b in couplings:
-        if not (0 <= a < spins and 0 <= b < spins):
-            raise ValueError("spin-system file: coupling spin number out of range")
-    return SpinSystem.from_couplings(larmor, couplings)
+    for pair, lineno in lines.items():
+        for spin in pair:
+            if not 1 <= spin <= spins:
+                raise ValueError(
+                    f"spin-system file line {lineno}: coupling spin {spin} out of range:"
+                    f" spins are 1 to {spins}"
+                )
+    return SpinSystem.from_couplings(larmor, {(a - 1, b - 1): v for (a, b), v in couplings.items()})
 
 
 def load_spin_system(path) -> SpinSystem:
@@ -120,8 +132,7 @@ def parse_sequence(text: str) -> list:
             if kind == "rotation":
                 spins = _parse_spins(fields[1].split(","))
                 axis = fields[2].lower()
-                if axis not in ("x", "y", "z", "+x", "+y", "+z", "-x", "-y", "-z"):
-                    raise ValueError(f"invalid axis {axis!r}")
+                split_axis(axis)
                 angle = parse_angle(fields[3])
                 events.append(Rotation(spins, axis, angle))
             elif kind == "jcoupling":

@@ -21,8 +21,8 @@ Conventions, fixed once here:
   trick that protects the other spins is modeled as crushing only the listed
   subset.
 * Detection of spin ``k`` is ``signal(t) = tr(rho(t) (X_k + i Y_k))``.  With
-  the Hamiltonian above, a spin-k coherence against neighbors in |0> shows up
-  at ``nu_k + sum_j J_kj / 2``.
+  the Hamiltonian above, a spin-k coherence with the other spins in |0> shows
+  up at ``nu_k + sum_j J_kj / 2``.
 
 States are deviation matrices: traceless Pauli terms plus projector factors,
 written as symbol strings over {I, X, Y, Z, 0, 1} where 0 and 1 expand to
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ID2, PAULI, apply_local, is_hermitian, kron, rx, ry, rz
+from .linalg import ID2, PAULI, apply_local, kron, rx, ry, rz
 
 _SYMBOL_FACTORS = {
     "I": ID2,
@@ -149,40 +149,47 @@ def _spin_count(rho: np.ndarray, spins=()) -> int:
 
 
 def build_hamiltonian(s: SpinSystem) -> np.ndarray:
-    """Free-evolution generator in rad/s; diagonal in the computational basis."""
+    """Energies of the free-evolution generator in rad/s, one per basis state:
+    the generator is diagonal in the computational basis."""
     n = s.n
     zs = _z_signs(n)
-    diag = np.zeros(2**n, dtype=complex)
+    energies = np.zeros(2**n)
     for i in range(n):
-        diag += np.pi * s.larmor[i] * zs[i]
+        energies += np.pi * s.larmor[i] * zs[i]
     for i in range(n):
         for jx in range(i):
-            diag += (np.pi / 2) * s.j[i, jx] * zs[i] * zs[jx]
-    return np.diag(diag)
+            energies += (np.pi / 2) * s.j[i, jx] * zs[i] * zs[jx]
+    return energies
 
 
-def evolve(rho: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
-    """Conjugation by exp(-i h t); preserves trace and eigenvalues.
+def _phase(rho: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Conjugation by diag(exp(-i angles)): element (k, l) gains the phase
+    exp(-i (angles_k - angles_l))."""
+    p = np.exp(-1j * angles)
+    return rho * np.outer(p, p.conj())
 
-    A diagonal ``h``, as :func:`build_hamiltonian` gives, only phases the
-    matrix elements; any other Hermitian ``h`` is diagonalized first."""
+
+def evolve(rho: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
+    """Conjugation by exp(-i diag(energies) t); preserves trace and eigenvalues.
+
+    ``energies`` are the generator's diagonal as :func:`build_hamiltonian`
+    gives it: one real, finite value per row of the square ``rho``."""
     rho = np.asarray(rho)
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("generator must be Hermitian")
-    diag = np.diagonal(h)
-    if np.count_nonzero(h) == np.count_nonzero(diag):
-        # is_hermitian on a diagonal h: each |h_kk - conj(h_kk)| is 2|Im h_kk|,
-        # or NaN when the real part is not finite
-        if not (np.all(np.isfinite(diag.real)) and 2 * np.max(np.abs(diag.imag)) <= ATOL):
-            raise ValueError("generator must be Hermitian")
-        phase = np.exp(-1j * diag.real * t)
-        return rho * np.outer(phase, phase.conj())
-    if not is_hermitian(h, ATOL):
-        raise ValueError("generator must be Hermitian")
-    energies, vecs = np.linalg.eigh(h)
-    u = (vecs * np.exp(-1j * energies * t)) @ vecs.conj().T
-    return u @ rho @ u.conj().T
+    energies = np.asarray(energies)
+    valid = energies.dtype.kind in "iuf" and rho.shape == 2 * energies.shape
+    if not (valid and np.all(np.isfinite(energies))):
+        raise ValueError("generator must be one real, finite energy per row of the state")
+    return _phase(rho, energies * t)
+
+
+def split_axis(axis: str) -> tuple[str, float]:
+    """The letter and rotation sense of an axis: x, y or z in either case,
+    optionally prefixed with one + or -."""
+    ax = axis.lower()
+    letter = ax[1:] if ax.startswith(("-", "+")) else ax
+    if letter not in AXES:
+        raise ValueError(f"invalid axis {axis!r}")
+    return letter, -1.0 if ax.startswith("-") else 1.0
 
 
 def apply_rotation(rho: np.ndarray, spins, axis: str, angle: float) -> np.ndarray:
@@ -191,12 +198,7 @@ def apply_rotation(rho: np.ndarray, spins, axis: str, angle: float) -> np.ndarra
     Each spin's gate acts on its row axis and the gate's conjugate on its
     column axis, so no full-size unitary is formed.
     """
-    ax = axis.lower()
-    sign = -1.0 if ax.startswith("-") else 1.0
-    if ax.startswith(("-", "+")):
-        ax = ax[1:]
-    if ax not in AXES:
-        raise ValueError(f"axis must be one of {AXES} (optionally signed), got {axis!r}")
+    ax, sign = split_axis(axis)
     gate = _ROTATIONS[ax](sign * angle)
     rho = np.asarray(rho)
     n = _spin_count(rho, spins)
@@ -214,8 +216,7 @@ def apply_jcoupling(rho: np.ndarray, pair, angle: float) -> np.ndarray:
     if i == jx:
         raise ValueError("coupling needs two distinct spins")
     zs = _z_signs(n)
-    phase = np.exp(-1j * (angle / 2) * zs[i] * zs[jx])
-    return rho * np.outer(phase, phase.conj())
+    return _phase(rho, (angle / 2) * zs[i] * zs[jx])
 
 
 def gradient_crush(rho: np.ndarray, spins) -> np.ndarray:
@@ -286,7 +287,7 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
     since their duration 1/(2 J) would otherwise diverge.
     """
     rho = pseudopure_init(validate_label(init, s.n))
-    h = None
+    energies = build_hamiltonian(s)
     for ev in seq:
         if isinstance(ev, Rotation):
             rho = apply_rotation(rho, ev.spins, ev.axis, ev.angle)
@@ -296,9 +297,7 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
                 raise ValueError(f"spins {i} and {jx} have no J coupling")
             rho = apply_jcoupling(rho, ev.pair, ev.angle)
         elif isinstance(ev, Delay):
-            if h is None:
-                h = build_hamiltonian(s)
-            rho = evolve(rho, h, ev.duration)
+            rho = evolve(rho, energies, ev.duration)
         elif isinstance(ev, Gradient):
             rho = gradient_crush(rho, ev.spins)
         else:
@@ -369,7 +368,7 @@ def fid(
     if rho0.shape != (2**n, 2**n):
         raise ValueError("state size does not match the spin system")
     _spin_count(rho0, (detect,))
-    energies = np.diag(build_hamiltonian(s)).real
+    energies = build_hamiltonian(s)
     # The diagonal of rho0 @ (X_d + i Y_d) holds the coherences the detector
     # sees; X_d pairs each basis state with its partner in that coherence.
     op = (PAULI["X"] + 1j * PAULI["Y"]).T

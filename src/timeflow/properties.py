@@ -184,7 +184,7 @@ def check_entanglement_unitarity(rng, trials, dims, tol, reverse_gate):
                 wrong = ent != uni
                 if expect is not None:
                     wrong |= ent != expect
-                bad += int(np.count_nonzero(wrong))
+                bad += int(wrong.sum())
     return _result("entanglement_unitarity", 2 * trials * len(dims), bad, 0.0)
 
 

@@ -92,9 +92,6 @@ def photon_number(d: int = 2) -> Encoding:
     return Encoding("photon-number", np.eye(d, dtype=complex))
 
 
-ENCODINGS = {"spin": spin_half, "photon": photon_number}
-
-
 def local_dimension(phi: np.ndarray) -> int:
     """Local carrier dimension d of a bipartite state vector of length d**2."""
     phi = np.asarray(phi)

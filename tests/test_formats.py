@@ -99,6 +99,26 @@ class TestSpinSystemFile:
         with pytest.raises(ValueError, match="line 3: .*not finite"):
             parse_spin_system(f"spins 2\nlarmor 0.0 1.0\n{line}\n")
 
+    def test_self_coupling_reports_line(self):
+        with pytest.raises(ValueError, match="line 3: self-coupling of spin 1"):
+            parse_spin_system("spins 2\nlarmor 0.0 1.0\nj 1 1 5\n")
+
+    def test_coupling_out_of_range_reports_line_and_spin(self):
+        # the j line comes before the spins line, which it is checked against
+        with pytest.raises(ValueError, match="line 1: coupling spin 3 out of range"):
+            parse_spin_system("j 1 3 5\nspins 2\nlarmor 0.0 1.0\n")
+
+    @pytest.mark.parametrize("second", ["j 1 2 7", "j 2 1 7"])
+    def test_repeated_pair_names_both_lines(self, second):
+        message = "line 4: coupling of spins [12] and [12] repeats line 3"
+        with pytest.raises(ValueError, match=message):
+            parse_spin_system(f"spins 2\nlarmor 0.0 1.0\nj 1 2 5\n{second}\n")
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_spin_count_below_one_reports_line(self, count):
+        with pytest.raises(ValueError, match="line 2: need at least 1 spin"):
+            parse_spin_system(f"# header\nspins {count}\nlarmor\n")
+
 
 class TestSequenceFile:
     def test_parse(self):

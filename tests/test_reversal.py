@@ -13,7 +13,7 @@ from timeflow.linalg import (
     projector,
     random_state,
     random_unitary,
-    unitary_deviation,
+    unitary_residuals,
 )
 from timeflow.reversal import (
     Encoding,
@@ -160,7 +160,7 @@ class TestMaximalEntanglement:
             phi = random_maxent(d, rng) + eps * random_state(d * d, rng)
             phi /= np.linalg.norm(phi)
             r = reduced_state_residual(phi)
-            assert abs(unitary_deviation(transfer_matrix(phi)) - r) <= 1e-14
+            assert abs(unitary_residuals(transfer_matrix(phi)) - r) <= 1e-14
             assert is_maximally_entangled(phi, r + 1e-14)
             if r > 1e-13:
                 assert not is_maximally_entangled(phi, r - 1e-14)
