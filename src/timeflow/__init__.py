@@ -36,7 +36,6 @@ from .circuits import (
     OutcomeReport,
     TeleportCircuit,
     acausal_experiment,
-    entangled_basis,
     forward_oracle,
     nonmax_loss,
     run_gate_circuit,

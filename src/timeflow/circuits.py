@@ -113,39 +113,6 @@ class TeleportCircuit:
             object.__setattr__(self, name, s)
 
 
-def weyl_shift(d: int) -> np.ndarray:
-    """Cyclic shift: |k> -> |k+1 mod d>."""
-    s = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        s[(k + 1) % d, k] = 1.0
-    return s
-
-
-def weyl_clock(d: int) -> np.ndarray:
-    """Diagonal phase ramp: |k> -> exp(2 pi i k / d) |k>."""
-    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-
-
-def entangled_basis(omega: np.ndarray) -> list[np.ndarray]:
-    """Maximally entangled orthonormal basis containing ``omega`` at index 0.
-
-    The basis is completed by applying shift/clock words to omega's first
-    carrier: element ``m*d + n`` is ``(shift**m clock**n (x) 1)|omega>``.
-    """
-    omega = np.asarray(omega)
-    d = local_dimension(omega)
-    shift, clock = weyl_shift(d), weyl_clock(d)
-    basis = []
-    sm = np.eye(d, dtype=complex)
-    for _m in range(d):
-        w = sm.copy()
-        for _n in range(d):
-            basis.append((w @ omega.reshape(d, d)).reshape(-1))
-            w = w @ clock
-        sm = shift @ sm
-    return basis
-
-
 def _check_input(c: TeleportCircuit, psi) -> np.ndarray:
     psi = np.asarray(psi)
     if psi.shape[-1:] != (c.d,):
@@ -177,7 +144,8 @@ def forward_oracle(c: TeleportCircuit, psi: np.ndarray) -> dict[int, OutcomeRepo
     """Tensor-product evaluation: conditional carrier-3 states per outcome.
 
     Projects ``(u (x) v (x) w)(|psi> (x) |phi>)`` on carriers 1,2 onto each
-    element of :func:`entangled_basis` of ``omega``, through
+    element ``(shift**m clock**n (x) 1)|omega>`` of the maximally entangled
+    basis built from ``omega`` by Weyl shift and clock words, through
     :func:`_outcome_amplitudes`.  Outcome 0 is the designated ``omega``.
     Probabilities sum to 1.
     """

@@ -74,6 +74,7 @@ def parse_spin_system(text: str) -> SpinSystem:
     larmor = None
     couplings: dict[tuple[int, int], float] = {}  # by 1-based pair, lower spin first
     lines: dict[tuple[int, int], int] = {}  # each pair's line, checked after the loop
+    seen: dict[str, int] = {}  # the line of the spins and larmor keys
     for lineno, line in _content_lines(text):
         fields = line.split()
         key = fields[0].lower()
@@ -94,6 +95,10 @@ def parse_spin_system(text: str) -> SpinSystem:
                 couplings[pair], lines[pair] = val, lineno
             else:
                 raise ValueError(f"unknown key {key!r}")
+            if key in seen:
+                raise ValueError(f"{key!r} repeats line {seen[key]}")
+            if key != "j":
+                seen[key] = lineno
         except (IndexError, ValueError) as exc:
             raise ValueError(f"spin-system file line {lineno}: {exc}") from None
     if spins is None:

@@ -12,8 +12,16 @@ regression.
 Trials run in blocks: each block draws all of its normals in one call, cut
 in the order a trial-by-trial loop over ``linalg.random_unitary`` and
 ``linalg.random_state`` would draw them, and every check runs on the stacked
-arrays.  A block's size depends only on the largest dimension, so memory
-does not grow with the trial count.
+arrays.  A block holds ``BLOCK_ELEMENTS // max(dims)**k`` trials, with k = 3
+for the circuit and d**4 suites and k = 2 for the others.  The two suites
+that build d**4 elements per trial (``backward_consistency`` and
+``entanglement_unitarity``) work through a block in slices of
+``BLOCK_ELEMENTS // d**4`` trials per dimension, so a small dimension takes
+one pass.  Memory does not grow with the trial count.
+
+A maximally entangled pair is one Haar unitary ``V`` read as the state
+``V / sqrt(d)`` (:func:`_pairs`), so a circuit draws five unitaries: u, v, w
+and one for each of its two pairs.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from .linalg import (
     partial_trace,
     phase_distance,
     projector,
-    transpose,
     unitary_residuals,
 )
 from .reversal import (
@@ -59,8 +66,11 @@ from .reversal import (
 ALPHA_PHASES = tuple(np.exp(2j * np.pi * k / 8) for k in range(8))
 
 # A block holds as many trials as keep its largest stacked array near this
-# many complex elements.
-BLOCK_ELEMENTS = 2**14
+# many complex elements.  Chosen from a sweep of 10,000 trials at dims
+# 2, 3, 4, 8 (one BLAS thread): blocks up to 2**16 cut the time, while from
+# 2**17 on the time fell by under 10% and the peak RSS rose by 12% or more
+# (CHANGES.md has the numbers).
+BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -82,28 +92,31 @@ def faulty_reverse_gate(u: np.ndarray, e: Encoding) -> np.ndarray:
 
 
 def _pairs(normals: np.ndarray) -> np.ndarray:
-    """Maximally entangled pairs from ``(..., 2, 2, d, d)`` normals: two
-    Haar local unitaries ``a (x) b`` on the uniform pair ``sum_k |kk> / sqrt(d)``."""
-    a, b = np.moveaxis(haar_unitary(normals), -3, 0)
-    d = a.shape[-1]
-    return (a @ transpose(b)).reshape(*a.shape[:-2], d * d) / np.sqrt(d)
+    """Maximally entangled pairs from ``(..., 2, d, d)`` normals: one Haar
+    ``V`` read row-major over ``sqrt(d)``, which is ``(V (x) 1)`` on the
+    uniform pair ``sum_k |kk> / sqrt(d)``.  Local unitaries ``a (x) b`` give
+    ``a @ transpose(b)`` there, itself Haar for independent Haar ``a`` and
+    ``b``, so one unitary draws the same law as two."""
+    v = haar_unitary(normals)
+    d = v.shape[-1]
+    return v.reshape(*v.shape[:-2], d * d) / np.sqrt(d)
 
 
 def random_maximally_entangled(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random maximally entangled pair: local unitaries on the uniform pair."""
-    return _pairs(rng.standard_normal((2, 2, d, d)))
+    """Random maximally entangled pair: a Haar local unitary on the uniform pair."""
+    return _pairs(rng.standard_normal((2, d, d)))
 
 
 def _circuit(d: int, normals: np.ndarray) -> TeleportCircuit:
-    """Circuits from ``(..., 7, 2, d, d)`` normals: u, v, w, then the local
-    unitaries of phi and of omega."""
+    """Circuits from ``(..., 5, 2, d, d)`` normals: u, v, w, then the one
+    unitary of each of phi and omega."""
     u, v, w = np.moveaxis(haar_unitary(normals[..., :3, :, :, :]), -3, 0)
-    phi, omega = _pairs(normals[..., 3:5, :, :, :]), _pairs(normals[..., 5:, :, :, :])
+    phi, omega = np.moveaxis(_pairs(normals[..., 3:, :, :, :]), -2, 0)
     return TeleportCircuit(d=d, u=u, v=v, w=w, phi=phi, omega=omega)
 
 
 def random_circuit(d: int, rng: np.random.Generator) -> TeleportCircuit:
-    return _circuit(d, rng.standard_normal((7, 2, d, d)))
+    return _circuit(d, rng.standard_normal((5, 2, d, d)))
 
 
 def _encodings_for(d: int) -> list[Encoding]:
@@ -128,10 +141,17 @@ def _blocks(rng, trials, layouts, cost):
         yield [[next(pieces).reshape(b, *shape) for shape in layout] for layout in layouts]
 
 
+def _slices(n, d, power):
+    """Slices of a block's ``n`` trials that keep a stacked array of
+    ``d**power`` elements per trial near ``BLOCK_ELEMENTS`` elements."""
+    step = max(1, BLOCK_ELEMENTS // d**power)
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
 def _circuit_draws(rng, trials, dims):
     """Stacked random circuits and input states per block and dimension:
     ``(d, c, psi)``."""
-    layouts = [((7, 2, d, d), (2, d)) for d in dims]
+    layouts = [((5, 2, d, d), (2, d)) for d in dims]
     for block in _blocks(rng, trials, layouts, max(dims) ** 3):
         for d, (gates, psi) in zip(dims, block):
             yield d, _circuit(d, gates), gaussian_state(psi)
@@ -159,13 +179,15 @@ def check_backward_consistency(rng, trials, dims, tol, reverse_gate):
     one uniform per trial that keeps the maximally entangled pair below 0.5.
     """
     dev = 0.0
-    layouts = [((2, d), (2, 2, d, d), (2, d * d)) for d in dims]
-    for block in _blocks(rng, trials, layouts, max(dims) ** 4):
-        for psi, pair, state in block:
+    layouts = [((2, d), (2, d, d), (2, d * d)) for d in dims]
+    for block in _blocks(rng, trials, layouts, max(dims) ** 3):
+        for d, (psi, pair, state) in zip(dims, block):
             keep_pair = rng.random(len(psi)) < 0.5
             phi = np.where(keep_pair[:, None], _pairs(pair), gaussian_state(state))
-            rho, psi_bar = backward_state(gaussian_state(psi), phi)
-            dev = max(dev, np.max(np.abs(rho - projector(psi_bar))))
+            psi = gaussian_state(psi)
+            for s in _slices(len(psi), d, 4):
+                rho, psi_bar = backward_state(psi[s], phi[s])
+                dev = max(dev, np.max(np.abs(rho - projector(psi_bar))))
     return _result("backward_consistency", trials, dev, tol)
 
 
@@ -174,11 +196,14 @@ def check_entanglement_unitarity(rng, trials, dims, tol, reverse_gate):
     state of either carrier is 1/d.  Deviation counts misclassifications, so
     the suite is exact and reports tolerance 0."""
     bad = 0
-    layouts = [((2, 2, d, d), (2, d * d)) for d in dims]
-    for block in _blocks(rng, trials, layouts, max(dims) ** 4):
+    layouts = [((2, d, d), (2, d * d)) for d in dims]
+    for block in _blocks(rng, trials, layouts, max(dims) ** 3):
         for d, (pair, state) in zip(dims, block):
             for phi, expect in ((_pairs(pair), True), (gaussian_state(state), None)):
-                reduced = partial_trace(projector(phi), [d, d], keep=(1,))
+                reduced = np.concatenate([
+                    partial_trace(projector(phi[s]), [d, d], keep=(1,))
+                    for s in _slices(len(phi), d, 4)
+                ])
                 ent = np.max(np.abs(d * reduced - np.eye(d)), axis=(-2, -1)) <= INPUT_TOL
                 uni = unitary_residuals(transfer_matrix(phi)) <= INPUT_TOL
                 wrong = ent != uni
@@ -193,7 +218,7 @@ def check_local_frame_relation(rng, trials, dims, tol, reverse_gate):
     every encoding."""
     dev = 0.0
     encodings = _encodings_for(2)
-    for ((normals,),) in _blocks(rng, trials, [((len(encodings), 2, 2, 2, 2),)], 2**2):
+    for ((normals,),) in _blocks(rng, trials, [((len(encodings), 2, 2, 2),)], 2**2):
         pairs = _pairs(normals)
         for k, e in enumerate(encodings):
             psi = pairs[:, k]

@@ -35,7 +35,6 @@ from .linalg import (
     conjugate,
     dagger,
     is_unitary,
-    partial_trace,
     projector,
     transpose,
 )
@@ -194,9 +193,9 @@ def backward_state(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.nda
     d = local_dimension(phi)
     if psi.shape[-1] != d:
         raise ValueError(f"input dimension {psi.shape[-1]} != carrier dimension {d}")
-    # kron prepends unit axes to the identity, so it acts member by member
-    op = np.kron(projector(psi), np.eye(d)) @ projector(phi)
-    rho = partial_trace(op, [d, d], keep=(1,))
+    # rho[b, e] = sum_{a, c} psi_a conj(psi_c) <cb|phi><phi|ae>, in O(d**4)
+    pairs = projector(phi).reshape(*phi.shape[:-1], d, d, d, d)
+    rho = np.einsum("...ac,...cbae->...be", projector(psi), pairs)
     psi_bar = (amplitude_matrix(phi) @ conjugate(psi)[..., None])[..., 0]
     return rho, psi_bar
 

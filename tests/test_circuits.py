@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import entangled_basis
 from timeflow.circuits import (
     Gate1,
     Gate2,
@@ -11,7 +12,6 @@ from timeflow.circuits import (
     acausal_circuit,
     acausal_experiment,
     computational_measure,
-    entangled_basis,
     forward_oracle,
     nonmax_loss,
     run_gate_circuit,

@@ -114,6 +114,17 @@ class TestSpinSystemFile:
         with pytest.raises(ValueError, match=message):
             parse_spin_system(f"spins 2\nlarmor 0.0 1.0\nj 1 2 5\n{second}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("spins 2\nlarmor 1 2\nlarmor 5 6\nspins 2\n", "line 3: 'larmor' repeats line 2"),
+            ("spins 2\nlarmor 1 2\nj 1 2 5\nSPINS 2\n", "line 4: 'spins' repeats line 1"),
+        ],
+    )
+    def test_repeated_key_names_both_lines(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_spin_system(text)
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_spin_count_below_one_reports_line(self, count):
         with pytest.raises(ValueError, match="line 2: need at least 1 spin"):

@@ -1,10 +1,14 @@
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from timeflow import properties
 from timeflow.linalg import DEFAULT_TOL
 from timeflow.properties import SUITES, run_all
+from timeflow.reversal import time_reverse_gate
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -63,3 +67,39 @@ def test_suite_names_match_benchmark_tracer():
     spec.loader.exec_module(tracer)
     assert tuple(r.name for r in run_all(seed=0, trials=1)) == tracer.SUITES
     assert tuple(fn.__name__ for fn in SUITES) == tuple(f"check_{s}" for s in tracer.SUITES)
+
+
+@pytest.mark.parametrize("trials", [1, 9])
+def test_haar_unitaries_drawn_per_run(monkeypatch, trials):
+    # Five per circuit (u, v, w and one per pair) and one per maximally
+    # entangled pair: a second unitary per pair would show up here.
+    drawn = []
+
+    def counting(normals, fn=properties.haar_unitary):
+        out = fn(normals)
+        drawn.append(math.prod(out.shape[:-2]))
+        return out
+
+    monkeypatch.setattr(properties, "haar_unitary", counting)
+    dims = (2, 3, 4, 8)
+    per_dim = trials * len(dims)
+    expected = {
+        "backward_consistency": per_dim,
+        "entanglement_unitarity": per_dim,
+        "local_frame_relation": 3 * trials,  # one pair per d = 2 encoding
+        "double_reversal": 3 * trials,  # one gate per d = 2 encoding
+        "chain_consistency": 5 * per_dim,
+        "semantics_equivalence": 5 * per_dim,
+        "probability_law": 5 * per_dim,
+        "encoding_independence": 5 * trials,  # d = 2 only
+    }
+    counts = {}
+    for idx, fn in enumerate(SUITES):
+        drawn.clear()
+        fn(np.random.default_rng([0, idx]), trials, dims, DEFAULT_TOL, time_reverse_gate)
+        if drawn:
+            counts[fn.__name__[len("check_"):]] = sum(drawn)
+    assert counts == expected
+    drawn.clear()
+    run_all(seed=0, trials=trials, dims=dims)
+    assert sum(drawn) == sum(expected.values())

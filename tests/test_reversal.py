@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import DIMS
 from timeflow.linalg import (
     SX,
     SY,
     SZ,
     bell_state,
+    gaussian_state,
+    haar_unitary,
     is_unitary,
     partial_trace,
     projector,
@@ -303,7 +308,43 @@ class TestLocalFrameGate:
             local_frame_gate(partially_entangled(np.pi / 6), spin_half())
 
 
+def kron_backward(psi, phi):
+    """``tr_1((|psi><psi| (x) 1) |phi><phi|)`` through the full d**2 x d**2
+    product; ``np.kron`` prepends unit axes to the identity, so it acts
+    member by member on a stack."""
+    d = psi.shape[-1]
+    op = np.kron(projector(psi), np.eye(d)) @ projector(phi)
+    return partial_trace(op, [d, d], keep=(1,))
+
+
+def _backward_inputs(d, count, seed, maximal):
+    rng = np.random.default_rng(seed)
+    psi = gaussian_state(rng.standard_normal((count, 2, d)))
+    if maximal:
+        phi = haar_unitary(rng.standard_normal((count, 2, d, d))).reshape(count, -1)
+        return psi, phi / np.sqrt(d)
+    return psi, gaussian_state(rng.standard_normal((count, 2, d * d)))
+
+
 class TestBackwardState:
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("maximal", [False, True])
+    def test_reduced_form_equals_the_kron_form(self, d, maximal):
+        psi, phi = _backward_inputs(d, 50, 70 + d, maximal)
+        rho, _ = backward_state(psi, phi)
+        assert rho.shape == (50, d, d)
+        assert np.max(np.abs(rho - kron_backward(psi, phi))) <= 1e-12
+
+    @given(st.sampled_from(DIMS), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_reduced_form_equals_the_kron_form_on_drawn_stacks(
+        self, d, count, seed, maximal
+    ):
+        psi, phi = _backward_inputs(d, count, seed, maximal)
+        rho, _ = backward_state(psi, phi)
+        assert np.max(np.abs(rho - kron_backward(psi, phi))) <= 1e-12
+
     def test_uniform_pair_example(self):
         psi = np.array([1, 0], dtype=complex)
         rho, bar = backward_state(psi, bell_state("PHI+"))

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import entangled_basis
 from strategies import DIMS, encodings, stack, teleport_members
 from timeflow import properties
 from timeflow.circuits import (
     TeleportCircuit,
     _evolution_chain,
     _outcome_amplitudes,
-    entangled_basis,
     forward_oracle,
     timeflow_eval,
     timeflow_trace,
@@ -190,19 +190,20 @@ class TestStackedChecks:
 
 
 def _circuit(d):
-    return [("unitary", d)] * 7 + [("state", d)]
+    return [("unitary", d)] * 5 + [("state", d)]
 
 
 # Per trial and dimension, what each normal-only suite draws in the scalar
 # order: ("unitary", d) is random_unitary, ("state", n) is random_state, and
 # ("normals", shape) is a plain complex Gaussian matrix the suites do not
-# hand to either constructor.
+# hand to either constructor.  A maximally entangled pair is one unitary, and
+# a circuit is u, v, w, the unitaries of phi and omega, then its input state.
 DRAWS = {
     "correspondence_roundtrip": (
         None, lambda d: [("state", d * d), ("normals", (2, d, d))]
     ),
-    "entanglement_unitarity": (None, lambda d: [("unitary", d)] * 2 + [("state", d * d)]),
-    "local_frame_relation": ((2,), lambda d: [("unitary", d)] * 6),
+    "entanglement_unitarity": (None, lambda d: [("unitary", d), ("state", d * d)]),
+    "local_frame_relation": ((2,), lambda d: [("unitary", d)] * 3),
     "spin_flip": ((2,), lambda d: [("state", d)]),
     "double_reversal": ((2,), lambda d: [("unitary", d)] * 3),
     "chain_consistency": (None, _circuit),
@@ -268,6 +269,60 @@ def test_suite_draws_equal_a_scalar_loop(monkeypatch, name, one_per_block):
     assert all(np.array_equal(a, b) for a, b in zip(stacked, scalar))
 
 
+def _scalar_backward_inputs(seed, trials, dims):
+    """``backward_consistency``'s ``(psi, phi)`` per member from a twin
+    generator.  Per block, each trial draws per dimension a state, the
+    unitary of a maximally entangled pair and a random pair state; then each
+    dimension draws one uniform per trial, and below 0.5 the maximally
+    entangled pair is the one used."""
+    twin = np.random.default_rng([seed, SUITE_INDEX["backward_consistency"]])
+    per_block = max(1, properties.BLOCK_ELEMENTS // max(dims) ** 3)
+    out = []
+    for start in range(0, trials, per_block):
+        drawn = [
+            [
+                (
+                    random_state(d, twin),
+                    random_unitary(d, twin).reshape(-1) / np.sqrt(d),
+                    random_state(d * d, twin),
+                )
+                for d in dims
+            ]
+            for _ in range(min(per_block, trials - start))
+        ]
+        for k in range(len(dims)):
+            coins = twin.random(len(drawn))
+            for (psi, pair, state), coin in zip((trial[k] for trial in drawn), coins):
+                out.append((psi, pair if coin < 0.5 else state))
+    return out
+
+
+# default blocks, one trial per block, and blocks of 4 then 2 trials
+@pytest.mark.parametrize("block_elements", [None, 1, 4 * 3**3])
+def test_backward_draws_equal_a_scalar_loop(monkeypatch, block_elements):
+    if block_elements:
+        monkeypatch.setattr(properties, "BLOCK_ELEMENTS", block_elements)
+    seed, trials, dims = 11, 6, (2, 3)
+    stacked = []
+
+    def record(psi, phi, fn=properties.backward_state):
+        stacked.extend(zip(psi, phi))
+        return fn(psi, phi)
+
+    monkeypatch.setattr(properties, "backward_state", record)
+    suite = properties.SUITES[SUITE_INDEX["backward_consistency"]]
+    suite(np.random.default_rng([seed, SUITE_INDEX["backward_consistency"]]), trials,
+          dims, 1e-9, time_reverse_gate)
+    scalar = _scalar_backward_inputs(seed, trials, dims)
+    assert len(stacked) == len(scalar) == trials * len(dims)
+    assert all(
+        np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        for a, b in zip(stacked, scalar)
+    )
+    # both kinds of pair occur, so the coins are pinned too
+    assert {is_maximally_entangled(phi) for _, phi in stacked} == {True, False}
+
+
 @pytest.mark.parametrize("faulty", [False, True])
 def test_block_size_does_not_change_the_report(monkeypatch, faulty):
     dims = (2, 3, 4)
@@ -283,7 +338,10 @@ def test_block_size_does_not_change_the_report(monkeypatch, faulty):
 def test_random_pair_is_the_scalar_construction(d):
     rng, twin = np.random.default_rng(d), np.random.default_rng(d)
     pair = properties.random_maximally_entangled(d, rng)
-    a, b = random_unitary(d, twin), random_unitary(d, twin)
+    v = random_unitary(d, twin)
     uniform = np.eye(d).reshape(-1) / np.sqrt(d)
-    assert np.max(np.abs(pair - np.kron(a, b) @ uniform)) <= TOL
+    assert np.array_equal(pair, v.reshape(-1) / np.sqrt(d))
+    assert np.max(np.abs(pair - np.kron(v, np.eye(d)) @ uniform)) <= TOL
     assert is_maximally_entangled(pair)
+    # one unitary's normals, no more
+    assert rng.bit_generator.state == twin.bit_generator.state
