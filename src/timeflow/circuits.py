@@ -302,10 +302,10 @@ def _apply_gate2(state: np.ndarray, nq: int, kind: str, cpos: int, tpos: int) ->
     return t.reshape(-1)
 
 
-def _check_orthonormal(states, tol: float = ATOL):
+def _check_orthonormal(states):
     mat = np.array(states)
     gram = mat.conj() @ mat.T
-    if np.max(np.abs(gram - np.eye(len(states)))) > tol:
+    if np.max(np.abs(gram - np.eye(len(states)))) > ATOL:
         raise ValueError("measurement states must be orthonormal")
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, PAULI, apply_local, kron, rx, ry, rz
+from .linalg import ATOL, ID2, PAULI, apply_local, kron, rx, ry, rz
 
 _SYMBOL_FACTORS = {
     "I": ID2,
@@ -133,10 +133,16 @@ class Gradient:
 PulseEvent = Rotation | JCoupling | Delay | Gradient
 
 
+def _bit(n: int, spin):
+    """Position of a spin's bit in a basis-state index; spin 0 is the most
+    significant of the n bits."""
+    return n - 1 - spin
+
+
 def _z_signs(n: int) -> np.ndarray:
     """Row i holds the +1/-1 eigenvalue of Z_i on each of the 2**n basis states."""
     idx = np.arange(2**n)
-    return 1.0 - 2.0 * ((idx >> (n - 1 - np.arange(n)[:, None])) & 1)
+    return 1.0 - 2.0 * ((idx >> _bit(n, np.arange(n))[:, None]) & 1)
 
 
 def _spin_count(rho: np.ndarray, spins=()) -> int:
@@ -229,8 +235,9 @@ def gradient_crush(rho: np.ndarray, spins) -> np.ndarray:
     spins = tuple(spins)
     if not spins:
         raise ValueError("gradient needs a nonempty spin subset")
-    zs = _z_signs(_spin_count(rho, spins))[list(spins)]
-    return rho * np.all(zs[:, :, None] == zs[:, None, :], axis=0)
+    n = _spin_count(rho, spins)
+    key = np.arange(2**n) & np.bitwise_or.reduce([1 << _bit(n, k) for k in spins])
+    return rho * (key[:, None] == key)
 
 
 def validate_label(label: str, n: int | None = None) -> str:
@@ -254,7 +261,7 @@ def pseudopure_init(label: str) -> np.ndarray:
     return out
 
 
-def pauli_decompose(rho: np.ndarray, tol: float = 1e-10) -> list[tuple[str, float]]:
+def pauli_decompose(rho: np.ndarray, tol: float = ATOL) -> list[tuple[str, float]]:
     """Expansion over the n-spin Pauli product basis.
 
     Returns ``(label, coefficient)`` pairs with ``coefficient =
@@ -369,16 +376,16 @@ def fid(
         raise ValueError("state size does not match the spin system")
     _spin_count(rho0, (detect,))
     energies = build_hamiltonian(s)
-    # The diagonal of rho0 @ (X_d + i Y_d) holds the coherences the detector
-    # sees; X_d pairs each basis state with its partner in that coherence.
-    op = (PAULI["X"] + 1j * PAULI["Y"]).T
-    seen = apply_local(rho0.reshape((2,) * (2 * n)), n + detect, op)
-    seen = np.diagonal(seen.reshape(rho0.shape))
-    partner = apply_local(energies.reshape((2,) * n), detect, PAULI["X"]).real
-    rows = np.flatnonzero(np.abs(seen) > 1e-300)
-    freq = energies[rows] - partner.reshape(-1)[rows]
+    # X_d + i Y_d = 2 |0><1| on the detected spin, so the detector sees
+    # 2 rho0[r, r ^ mask] for each row r with that spin's bit set.
+    mask = 1 << _bit(n, detect)
+    rows = np.flatnonzero(np.arange(2**n) & mask)
+    seen = 2 * rho0[rows, rows ^ mask]
+    keep = np.abs(seen) > 1e-300
+    rows, seen = rows[keep], seen[keep]
+    freq = energies[rows] - energies[rows ^ mask]
     times = np.arange(points) * (duration / points)
-    return np.exp(-1j * np.outer(times, freq)) @ seen[rows]
+    return np.exp(-1j * np.outer(times, freq)) @ seen
 
 
 @dataclass(frozen=True)

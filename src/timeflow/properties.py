@@ -102,21 +102,12 @@ def _pairs(normals: np.ndarray) -> np.ndarray:
     return v.reshape(*v.shape[:-2], d * d) / np.sqrt(d)
 
 
-def random_maximally_entangled(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random maximally entangled pair: a Haar local unitary on the uniform pair."""
-    return _pairs(rng.standard_normal((2, d, d)))
-
-
 def _circuit(d: int, normals: np.ndarray) -> TeleportCircuit:
     """Circuits from ``(..., 5, 2, d, d)`` normals: u, v, w, then the one
     unitary of each of phi and omega."""
     u, v, w = np.moveaxis(haar_unitary(normals[..., :3, :, :, :]), -3, 0)
     phi, omega = np.moveaxis(_pairs(normals[..., 3:, :, :, :]), -2, 0)
     return TeleportCircuit(d=d, u=u, v=v, w=w, phi=phi, omega=omega)
-
-
-def random_circuit(d: int, rng: np.random.Generator) -> TeleportCircuit:
-    return _circuit(d, rng.standard_normal((5, 2, d, d)))
 
 
 def _encodings_for(d: int) -> list[Encoding]:

@@ -40,7 +40,7 @@ from .linalg import (
 )
 
 
-def conjugation_sign(matrix: np.ndarray, tol: float = ATOL) -> int:
+def conjugation_sign(matrix: np.ndarray) -> int:
     """Sign s with ``matrix @ conj(matrix) = s * 1``; must be +1 or -1.
 
     Raises ValueError when the product is not a real sign times the identity,
@@ -51,7 +51,7 @@ def conjugation_sign(matrix: np.ndarray, tol: float = ATOL) -> int:
     prod = matrix @ conjugate(matrix)
     d = prod.shape[0]
     for sign in (1, -1):
-        if np.max(np.abs(prod - sign * np.eye(d))) <= tol:
+        if np.max(np.abs(prod - sign * np.eye(d))) <= ATOL:
             return sign
     raise ValueError("matrix @ conj(matrix) is not +1 or -1 times the identity")
 
@@ -163,18 +163,18 @@ def canonical_pair(e: Encoding) -> np.ndarray:
     return state_of_matrix(e.matrix / np.sqrt(e.d))
 
 
-def local_frame_gate(psi: np.ndarray, e: Encoding, tol: float = ATOL) -> np.ndarray:
+def local_frame_gate(psi: np.ndarray, e: Encoding) -> np.ndarray:
     """The local unitary relating a maximally entangled state to the
     encoding's canonical pair.
 
     Returns the unitary ``chi`` with ``(chi (x) 1) |canonical_pair(e)> = |psi>``.
-    Raises ValueError for non-maximally-entangled input, for which no such
-    unitary exists.
+    Raises ValueError for a pair that is not maximally entangled within
+    ``INPUT_TOL``, for which no such unitary exists.
     """
     psi = np.asarray(psi)
     if psi.shape[-1:] != (e.d * e.d,):
         raise ValueError("state does not match the encoding's carrier dimension")
-    if not is_maximally_entangled(psi, tol):
+    if not is_maximally_entangled(psi, INPUT_TOL):
         raise ValueError("state is not maximally entangled")
     return transpose(transfer_matrix(psi)) @ conjugate(e.matrix)
 

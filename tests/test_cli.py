@@ -141,6 +141,30 @@ class TestTeleport:
         assert sv == pytest.approx(expected, abs=1e-10)
         assert "outcomes" not in report
 
+    @pytest.mark.parametrize("encoding", ["spin", "photon"])
+    def test_pair_within_input_tolerance_is_evaluated(self, capsys, tmp_path, encoding):
+        # PHI+ scaled by 1 + 2e-9: a transfer-matrix residual of 4e-9, inside
+        # INPUT_TOL, so the pair is maximally entangled for every check
+        amp = (1 + 2e-9) / np.sqrt(2)
+        obj = {
+            "d": 2,
+            "u": "I",
+            "v": "I",
+            "w": "I",
+            "phi": [[amp, 0.0], [0.0, 0.0], [0.0, 0.0], [amp, 0.0]],
+            "omega": "PHI+",
+            "psi": 0,
+        }
+        path = tmp_path / "near_phi_plus.json"
+        path.write_text(json.dumps(obj))
+        code, out = run_cli(
+            capsys, "teleport", "--circuit", str(path), "--encoding", encoding
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["agreement"] is True
+        assert "nonmax" not in report
+
     def test_missing_file_is_input_error(self, capsys):
         code, _ = run_cli(capsys, "teleport", "--circuit", "no-such-file.json")
         assert code == 2

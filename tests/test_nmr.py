@@ -623,15 +623,40 @@ class TestAgainstDenseForms:
         detect=st.integers(0, 4),
         points=st.integers(2, 16),
         duration=st.floats(1e-4, 0.02),
+        sparse=st.booleans(),
     )
-    def test_fid(self, n, seed, detect, points, duration):
+    @example(n=8, seed=62, detect=7, points=16, duration=0.01, sparse=True)  # 000Z1I0X
+    def test_fid(self, n, seed, detect, points, duration, sparse):
         rng = np.random.default_rng(seed)
         s = _random_system(n, rng)
-        rho = _hermitian(2**n, rng)
+        if sparse:  # mostly zero coherences, which the detector skips
+            rho = pseudopure_init("".join(rng.choice(list("IXYZ01"), size=n)))
+        else:
+            rho = _hermitian(2**n, rng)
         detect %= n
         assert_close(
             fid(s, rho, detect, duration, points), dense_fid(s, rho, detect, duration, points)
         )
+
+    @DENSE
+    @given(
+        n=st.integers(1, 6),
+        seed=SEEDS,
+        spins=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    )
+    def test_gradient_crush(self, n, seed, spins):
+        spins = [spin % n for spin in spins]  # repeats are allowed and kept
+        rho = _hermitian(2**n, np.random.default_rng(seed))
+        # Z twirl: 2**-k sum over subsets S of the listed spins of Z_S rho Z_S;
+        # a repeated spin's Z_k Z_k is the identity, so repeats do not matter
+        twirl = np.zeros_like(rho)
+        for flips in product((False, True), repeat=len(spins)):
+            z = np.eye(2**n)
+            for spin, flip in zip(spins, flips):
+                if flip:
+                    z = _embed(Z, spin, n) @ z
+            twirl += z @ rho @ z.conj().T
+        assert_close(gradient_crush(rho, spins), twirl / 2 ** len(spins))
 
     @DENSE
     @given(n=st.integers(1, 6), seed=SEEDS, qubit=st.integers(0, 5))

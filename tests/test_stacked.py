@@ -337,7 +337,7 @@ def test_block_size_does_not_change_the_report(monkeypatch, faulty):
 @pytest.mark.parametrize("d", DIMS)
 def test_random_pair_is_the_scalar_construction(d):
     rng, twin = np.random.default_rng(d), np.random.default_rng(d)
-    pair = properties.random_maximally_entangled(d, rng)
+    pair = properties._pairs(rng.standard_normal((2, d, d)))
     v = random_unitary(d, twin)
     uniform = np.eye(d).reshape(-1) / np.sqrt(d)
     assert np.array_equal(pair, v.reshape(-1) / np.sqrt(d))
