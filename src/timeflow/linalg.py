@@ -21,6 +21,11 @@ ATOL = 1e-10  # internal identities: encodings, orthonormality, the API default
 INPUT_TOL = 1e-8  # caller-supplied gates, pairs and states; the nmr report cutoff
 DEFAULT_TOL = 1e-9  # the verify suites' pass threshold and the CLI --tol default
 
+# Largest trailing block d * right that apply_local contracts as one gemm; per
+# axis at d = 2, 3, 4 and 8, inner sizes up to 32 beat the stacked product and
+# 64 or more lose to it.
+_GEMM_INNER = 32
+
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -63,10 +68,20 @@ def apply_local(t: np.ndarray, axis: int, op: np.ndarray) -> np.ndarray:
 
     On a tensor with one axis per carrier this is ``1 (x) op (x) 1``; on the
     column axis of a density matrix, ``conj(op)`` gives ``rho @ dagger(op)``.
+
+    With ``left`` and ``right`` the sizes before and after ``axis``, a small
+    trailing block ``d * right`` is one gemm, ``t (left, d*right) @ kron(op^T,
+    1_right)``; a large one is ``left`` stacked products ``op @ t (d, right)``.
     """
     t = np.asarray(t)
     left = math.prod(t.shape[:axis])
-    return (op @ t.reshape(left, t.shape[axis], -1)).reshape(t.shape)
+    d, *rest = t.shape[axis:]
+    right = math.prod(rest)
+    if d * right <= _GEMM_INNER:
+        out = t.reshape(left, d * right) @ np.kron(op.T, np.eye(right))
+    else:
+        out = op @ t.reshape(left, d, right)
+    return out.reshape(t.shape)
 
 
 def projector(v: np.ndarray) -> np.ndarray:

@@ -146,8 +146,11 @@ def _z_signs(n: int) -> np.ndarray:
 
 
 def _spin_count(rho: np.ndarray, spins=()) -> int:
-    """The n of a 2**n-sided state, after checking that ``spins`` exist."""
-    n = int(np.log2(rho.shape[0]))
+    """The n of a square 2**n-sided state, after checking that ``spins`` exist."""
+    side = rho.shape[0]
+    if rho.shape != (side, side) or side < 1 or side & (side - 1):
+        raise ValueError("matrix side must be a power of two")
+    n = side.bit_length() - 1
     for spin in spins:
         if not 0 <= spin < n:
             raise ValueError(f"spin index {spin} out of range")
@@ -274,8 +277,6 @@ def pauli_decompose(rho: np.ndarray, tol: float = ATOL) -> list[tuple[str, float
     """
     rho = np.asarray(rho)
     n = _spin_count(rho)
-    if 2**n != rho.shape[0]:
-        raise ValueError("matrix side must be a power of two")
     order = [axis for k in range(n) for axis in (k, n + k)]
     t = rho.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
     for k in range(n):
@@ -381,6 +382,8 @@ def fid(
     mask = 1 << _bit(n, detect)
     rows = np.flatnonzero(np.arange(2**n) & mask)
     seen = 2 * rho0[rows, rows ^ mask]
+    if not np.all(np.isfinite(seen)):
+        raise ValueError("the detected coherences must be finite")
     keep = np.abs(seen) > 1e-300
     rows, seen = rows[keep], seen[keep]
     freq = energies[rows] - energies[rows ^ mask]

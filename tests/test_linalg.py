@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from timeflow.linalg import (
     SX,
     SY,
     SZ,
+    apply_local,
     bell_state,
     conjugate,
     dagger,
@@ -212,3 +215,34 @@ def test_random_unitary_is_unitary():
     rng = np.random.default_rng(10)
     for d in (2, 3, 5):
         assert is_unitary(random_unitary(d, rng), 1e-10)
+
+
+# Carriers per tensor at each local dimension: d**carriers <= 256 keeps the
+# dense oracle small, while the trailing block d * right runs from d to far
+# above the size up to which apply_local switches to one gemm.
+CARRIERS = {2: 8, 3: 5, 4: 4}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from(sorted(CARRIERS)),
+    carriers=st.integers(1, 8),
+    axis=st.integers(0, 7),
+    batch=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2, carriers=8, axis=0, batch=2, seed=0)  # d * right = 256: stacked
+@example(d=2, carriers=8, axis=7, batch=2, seed=1)  # d * right = 2: one gemm
+@example(d=3, carriers=5, axis=1, batch=1, seed=2)  # 81: stacked
+@example(d=4, carriers=4, axis=2, batch=3, seed=3)  # 16: one gemm
+def test_apply_local_matches_dense_oracle(d, carriers, axis, batch, seed):
+    carriers = min(carriers, CARRIERS[d])
+    axis %= carriers
+    rng = np.random.default_rng(seed)
+    shape = (batch,) + (d,) * carriers
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    dense = np.kron(np.kron(np.eye(d**axis), op), np.eye(d ** (carriers - 1 - axis)))
+    expected = (t.reshape(batch, -1) @ dense.T).reshape(shape)
+    actual = apply_local(t, 1 + axis, op)
+    assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from strategies import SIGNED_AXES, pulse_sequences
 
 from timeflow.circuits import Gate1, GateCircuit, run_gate_circuit
 from timeflow.linalg import PAULI, kron, random_state, random_unitary
@@ -275,6 +276,22 @@ class TestGradientCrush:
             gradient_crush(X, ())
 
 
+@pytest.mark.parametrize("shape", [(6, 6), (4, 2)], ids=["6x6", "4x2"])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda rho: apply_rotation(rho, (0,), "x", 1.0),
+        lambda rho: apply_jcoupling(rho, (0, 1), 1.0),
+        lambda rho: gradient_crush(rho, (0,)),
+        pauli_decompose,
+    ],
+    ids=["apply_rotation", "apply_jcoupling", "gradient_crush", "pauli_decompose"],
+)
+def test_state_side_must_be_a_power_of_two(kernel, shape):
+    with pytest.raises(ValueError, match="matrix side must be a power of two"):
+        kernel(np.eye(*shape))
+
+
 class TestPseudopure:
     def test_x00x_expansion(self):
         rho = pseudopure_init("X00X")
@@ -427,6 +444,12 @@ class TestFid:
         with pytest.raises(ValueError):
             fid(single_spin(), X, detect=0, duration=0.0, points=16)
 
+    def test_non_finite_coherence_rejected(self):
+        rho = kron(X, I2)
+        rho[2, 0] = np.nan  # read by the detector of spin 0
+        with pytest.raises(ValueError, match="finite"):
+            fid(two_spin(), rho, detect=0, duration=0.01, points=16)
+
 
 class TestSpectrum:
     def test_single_peak_within_one_bin(self):
@@ -513,7 +536,6 @@ class TestSpectralOverlap:
 
 DENSE = settings(max_examples=15, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
-SIGNED_AXES = ("x", "y", "z", "+x", "+y", "+z", "-x", "-y", "-z")
 
 
 def _hermitian(dim, rng):
@@ -570,6 +592,57 @@ def dense_fid(s, rho, detect, duration, points):
     return np.array(out)
 
 
+def z_twirl(rho, spins, n):
+    """2**-k sum over subsets S of the k listed spins of Z_S rho Z_S; a
+    repeated spin's Z_k Z_k is the identity, so repeats do not matter."""
+    twirl = np.zeros_like(rho)
+    for flips in product((False, True), repeat=len(spins)):
+        z = np.eye(2**n)
+        for spin, flip in zip(spins, flips):
+            if flip:
+                z = _embed(Z, spin, n) @ z
+        twirl += z @ rho @ z.conj().T
+    return twirl / 2 ** len(spins)
+
+
+def dense_sequence(s, init, seq):
+    """Each event as a 2**n x 2**n unitary built by kron, conjugating the
+    state; a gradient as the Z twirl."""
+    n = s.n
+    rho = pseudopure_init(init)
+    energies = np.diag(dense_hamiltonian(s))  # diagonal, see TestHamiltonian
+    for ev in seq:
+        if isinstance(ev, Rotation):
+            rho = dense_rotation(rho, ev.spins, ev.axis, ev.angle, n)
+        elif isinstance(ev, Gradient):
+            rho = z_twirl(rho, ev.spins, n)
+        elif isinstance(ev, JCoupling):
+            zz = _embed(Z, ev.pair[0], n) @ _embed(Z, ev.pair[1], n)
+            u = np.cos(ev.angle / 2) * np.eye(2**n) - 1j * np.sin(ev.angle / 2) * zz
+            rho = u @ rho @ u.conj().T
+        else:
+            u = np.diag(np.exp(-1j * energies * ev.duration))
+            rho = u @ rho @ u.conj().T
+    return rho
+
+
+EIGHT_SPINS = (
+    SpinSystem.from_couplings(
+        [-350.0 + 100.0 * k for k in range(8)],
+        {(a, b): 5.0 + 9.0 * a - 4.0 * b for a in range(8) for b in range(a)},
+    ),
+    "X0Y1ZI0X",
+    [
+        Rotation((0, 7, 7), "-y", 1.3),
+        JCoupling((6, 2), 2.1),
+        Delay(0.004),
+        Gradient((1, 5, 1)),
+        Rotation((3,), "+X", -0.7),
+        JCoupling((0, 7), -0.9),
+    ],
+)
+
+
 class TestAgainstDenseForms:
     @DENSE
     @given(
@@ -579,6 +652,8 @@ class TestAgainstDenseForms:
         axis=st.sampled_from(SIGNED_AXES),
         angle=st.floats(-10.0, 10.0),
     )
+    # n = 7: spin 0's column axis takes the stacked order, spins 3 and 6 one gemm
+    @example(n=7, seed=7, spins=[0, 3, 6, 6], axis="-y", angle=1.3)
     def test_apply_rotation(self, n, seed, spins, axis, angle):
         spins = [spin % n for spin in spins]  # repeats are allowed and kept
         rho = _hermitian(2**n, np.random.default_rng(seed))
@@ -647,16 +722,14 @@ class TestAgainstDenseForms:
     def test_gradient_crush(self, n, seed, spins):
         spins = [spin % n for spin in spins]  # repeats are allowed and kept
         rho = _hermitian(2**n, np.random.default_rng(seed))
-        # Z twirl: 2**-k sum over subsets S of the listed spins of Z_S rho Z_S;
-        # a repeated spin's Z_k Z_k is the identity, so repeats do not matter
-        twirl = np.zeros_like(rho)
-        for flips in product((False, True), repeat=len(spins)):
-            z = np.eye(2**n)
-            for spin, flip in zip(spins, flips):
-                if flip:
-                    z = _embed(Z, spin, n) @ z
-            twirl += z @ rho @ z.conj().T
-        assert_close(gradient_crush(rho, spins), twirl / 2 ** len(spins))
+        assert_close(gradient_crush(rho, spins), z_twirl(rho, spins, n))
+
+    @DENSE
+    @given(case=pulse_sequences())
+    @example(case=EIGHT_SPINS)
+    def test_run_sequence(self, case):
+        s, init, seq = case
+        assert_close(run_sequence(s, init, seq), dense_sequence(s, init, seq), tol=1e-10)
 
     @DENSE
     @given(n=st.integers(1, 6), seed=SEEDS, qubit=st.integers(0, 5))
