@@ -22,9 +22,11 @@ INPUT_TOL = 1e-8  # caller-supplied gates, pairs and states; the nmr report cuto
 DEFAULT_TOL = 1e-9  # the verify suites' pass threshold and the CLI --tol default
 
 # Largest trailing block d * right that apply_local contracts as one gemm; per
-# axis at d = 2, 3, 4 and 8, inner sizes up to 32 beat the stacked product and
-# 64 or more lose to it.
+# axis at d = 2, 3, 4 and 8, complex inner sizes up to 32 beat the stacked
+# product and 64 or more lose to it.  On the real view (d = 2, n = 8-10 spins)
+# inner sizes up to 16 win and 32 or more lose.
 _GEMM_INNER = 32
+_GEMM_INNER_REAL = 16
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -72,15 +74,28 @@ def apply_local(t: np.ndarray, axis: int, op: np.ndarray) -> np.ndarray:
     With ``left`` and ``right`` the sizes before and after ``axis``, a small
     trailing block ``d * right`` is one gemm, ``t (left, d*right) @ kron(op^T,
     1_right)``; a large one is ``left`` stacked products ``op @ t (d, right)``.
+    A real ``op`` on a C-contiguous complex ``t`` acts on the real view of
+    ``t``, whose real and imaginary parts interleave along the last axis, so
+    ``right`` doubles and the products run in real arithmetic.
     """
     t = np.asarray(t)
+    op = np.asarray(op)
     left = math.prod(t.shape[:axis])
     d, *rest = t.shape[axis:]
     right = math.prod(rest)
-    if d * right <= _GEMM_INNER:
-        out = t.reshape(left, d * right) @ np.kron(op.T, np.eye(right))
+    src, bound = t, _GEMM_INNER
+    real_op = not (np.iscomplexobj(op) and op.imag.any())
+    if real_op and t.dtype.kind == "c" and t.flags.c_contiguous:
+        op, src, right, bound = op.real, t.view(t.real.dtype), 2 * right, _GEMM_INNER_REAL
+    if d * right <= bound:
+        # kron(op^T, 1_right) by broadcasting; np.kron costs more than the
+        # product itself on a small state
+        block = (op.T[:, None, :, None] * np.eye(right)[:, None]).reshape(d * right, -1)
+        out = src.reshape(left, d * right) @ block
     else:
-        out = op @ t.reshape(left, d, right)
+        out = op @ src.reshape(left, d, right)
+    if src is not t:
+        out = out.view(np.result_type(out, 1j))
     return out.reshape(t.shape)
 
 

@@ -27,28 +27,46 @@ Conventions, fixed once here:
 States are deviation matrices: traceless Pauli terms plus projector factors,
 written as symbol strings over {I, X, Y, Z, 0, 1} where 0 and 1 expand to
 (1+Z)/2 and (1-Z)/2.  Unitaries act on the deviation exactly as on a density
-matrix; positivity and unit trace are not required.
+matrix; positivity and unit trace are not required.  Every symbol's factor
+has one nonzero per row, so an initial state is built by one scatter.
+
+Propagation.  Delays, couplings and z rotations are diagonal conjugations,
+``exp(-i angles)`` on the basis states, so :func:`run_sequence` adds their
+angles into one pending vector and applies it in one pass, only before an x
+or y rotation and at the end; a crusher commutes with it and acts at once.
+An x rotation is run as a y rotation in a frame turned about z,
+``Rx(a) = Rz(-pi/2) Ry(a) Rz(pi/2)`` on each distinct listed spin, whose two
+turns join the pending phase.  Every rotation that touches the dense state is
+then real, and :func:`linalg.apply_local` contracts a real gate against the
+real view of the complex state.  The per-event kernels :func:`evolve`,
+:func:`apply_jcoupling`, :func:`apply_rotation` and :func:`gradient_crush`
+stay public and share the same angle formulas.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .linalg import ATOL, ID2, PAULI, apply_local, kron, rx, ry, rz
+from .linalg import ATOL, apply_local, rx, ry
 
+# Each symbol's 2 x 2 factor as (the nonzeros of rows 0 and 1, flip): row r
+# has its one nonzero in column r ^ flip.  I, Z, 0 and 1 are diagonal; X and Y
+# are anti-diagonal.
 _SYMBOL_FACTORS = {
-    "I": ID2,
-    "X": PAULI["X"],
-    "Y": PAULI["Y"],
-    "Z": PAULI["Z"],
-    "0": (ID2 + PAULI["Z"]) / 2,
-    "1": (ID2 - PAULI["Z"]) / 2,
+    "I": ((1, 1), 0),
+    "X": ((1, 1), 1),
+    "Y": ((-1j, 1j), 1),
+    "Z": ((1, -1), 0),
+    "0": ((1, 0), 0),
+    "1": ((0, 1), 0),
 }
 
 AXES = ("x", "y", "z")
-_ROTATIONS = {"x": rx, "y": ry, "z": rz}
+_ROTATIONS = {"x": rx, "y": ry}
 
 # tr(block @ P) for P = I, X, Y, Z, on a spin's 2 x 2 block flattened as
 # (rho00, rho01, rho10, rho11)
@@ -107,6 +125,9 @@ class Rotation:
     axis: str
     angle: float
 
+    def __post_init__(self):
+        _check_finite("rotation angle", self.angle)
+
 
 @dataclass(frozen=True)
 class JCoupling:
@@ -115,12 +136,18 @@ class JCoupling:
     pair: tuple[int, int]
     angle: float
 
+    def __post_init__(self):
+        _check_finite("coupling angle", self.angle)
+
 
 @dataclass(frozen=True)
 class Delay:
     """Free evolution under the system Hamiltonian for ``duration`` seconds."""
 
     duration: float
+
+    def __post_init__(self):
+        _check_finite("delay", self.duration)
 
 
 @dataclass(frozen=True)
@@ -131,6 +158,11 @@ class Gradient:
 
 
 PulseEvent = Rotation | JCoupling | Delay | Gradient
+
+
+def _check_finite(what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
 
 
 def _bit(n: int, spin):
@@ -145,15 +177,19 @@ def _z_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * ((idx >> _bit(n, np.arange(n))[:, None]) & 1)
 
 
+def _check_spins(n: int, spins) -> None:
+    for spin in spins:
+        if not 0 <= spin < n:
+            raise ValueError(f"spin index {spin} out of range")
+
+
 def _spin_count(rho: np.ndarray, spins=()) -> int:
     """The n of a square 2**n-sided state, after checking that ``spins`` exist."""
     side = rho.shape[0]
     if rho.shape != (side, side) or side < 1 or side & (side - 1):
         raise ValueError("matrix side must be a power of two")
     n = side.bit_length() - 1
-    for spin in spins:
-        if not 0 <= spin < n:
-            raise ValueError(f"spin index {spin} out of range")
+    _check_spins(n, spins)
     return n
 
 
@@ -175,20 +211,56 @@ def _phase(rho: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Conjugation by diag(exp(-i angles)): element (k, l) gains the phase
     exp(-i (angles_k - angles_l))."""
     p = np.exp(-1j * angles)
-    return rho * np.outer(p, p.conj())
+    out = rho * p[:, None]
+    out *= p.conj()
+    return out
+
+
+# The phase angles of each diagonal event, one per basis state; conjugation
+# by diag(exp(-i angles)) applies the event, and the angles of successive
+# diagonal events add.
+
+
+def _free_angles(energies: np.ndarray, t: float) -> np.ndarray:
+    """Free evolution exp(-i diag(energies) t)."""
+    if not np.all(np.isfinite(energies)):
+        raise ValueError("generator must be one real, finite energy per row of the state")
+    return energies * t
+
+
+def _zz_angles(zs: np.ndarray, pair, angle: float) -> np.ndarray:
+    """exp(-i angle/2 Z_i Z_j), from the rows of :func:`_z_signs`."""
+    i, jx = pair
+    if i == jx:
+        raise ValueError("coupling needs two distinct spins")
+    return (angle / 2) * zs[i] * zs[jx]
+
+
+def _z_angles(zs: np.ndarray, spins, angle: float) -> np.ndarray:
+    """The product of exp(-i angle/2 Z_k) over the listed spins; a repeated
+    spin rotates once per listing."""
+    return (angle / 2) * zs[list(spins)].sum(axis=0)
+
+
+def _join(pending, angles):
+    """The sum of two phase-angle vectors, where None stands for no phase."""
+    if pending is None or angles is None:
+        return angles if pending is None else pending
+    return pending + angles
 
 
 def evolve(rho: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
     """Conjugation by exp(-i diag(energies) t); preserves trace and eigenvalues.
 
     ``energies`` are the generator's diagonal as :func:`build_hamiltonian`
-    gives it: one real, finite value per row of the square ``rho``."""
+    gives it: one real, finite value per row of the square ``rho``; the time
+    ``t`` must be finite."""
     rho = np.asarray(rho)
     energies = np.asarray(energies)
-    valid = energies.dtype.kind in "iuf" and rho.shape == 2 * energies.shape
-    if not (valid and np.all(np.isfinite(energies))):
+    if not (energies.dtype.kind in "iuf" and rho.shape == 2 * energies.shape):
         raise ValueError("generator must be one real, finite energy per row of the state")
-    return _phase(rho, energies * t)
+    _check_finite("evolution time", t)
+    return _phase(rho, _free_angles(energies, t))
 
 
 def split_axis(axis: str) -> tuple[str, float]:
@@ -205,12 +277,15 @@ def apply_rotation(rho: np.ndarray, spins, axis: str, angle: float) -> np.ndarra
     """Rotate the listed spins by ``angle`` about ``axis`` (same pulse on each).
 
     Each spin's gate acts on its row axis and the gate's conjugate on its
-    column axis, so no full-size unitary is formed.
+    column axis, so no full-size unitary is formed.  A z rotation is diagonal:
+    one phase pass for all the listed spins.
     """
     ax, sign = split_axis(axis)
-    gate = _ROTATIONS[ax](sign * angle)
     rho = np.asarray(rho)
     n = _spin_count(rho, spins)
+    if ax == "z":
+        return _phase(rho, _z_angles(_z_signs(n), spins, sign * angle))
+    gate = _ROTATIONS[ax](sign * angle)
     t = rho.reshape((2,) * (2 * n))
     for spin in spins:
         t = apply_local(apply_local(t, spin, gate), n + spin, gate.conj())
@@ -221,11 +296,7 @@ def apply_jcoupling(rho: np.ndarray, pair, angle: float) -> np.ndarray:
     """Pure ZZ phase evolution exp(-i angle/2 Z_i Z_j) on a spin pair."""
     rho = np.asarray(rho)
     n = _spin_count(rho, pair)
-    i, jx = pair
-    if i == jx:
-        raise ValueError("coupling needs two distinct spins")
-    zs = _z_signs(n)
-    return _phase(rho, (angle / 2) * zs[i] * zs[jx])
+    return _phase(rho, _zz_angles(_z_signs(n), pair, angle))
 
 
 def gradient_crush(rho: np.ndarray, spins) -> np.ndarray:
@@ -258,9 +329,12 @@ def pseudopure_init(label: str) -> np.ndarray:
     label = validate_label(label)
     if not label:
         raise ValueError("empty label")
-    out = _SYMBOL_FACTORS[label[0]]
-    for ch in label[1:]:
-        out = kron(out, _SYMBOL_FACTORS[ch])
+    rows, flips = zip(*(_SYMBOL_FACTORS[ch] for ch in label))
+    vals = reduce(np.multiply.outer, np.array(rows, dtype=complex)).ravel()  # kron of the rows
+    flip = int("".join(map(str, flips)), 2)
+    idx = np.arange(len(vals))
+    out = np.zeros((len(vals), len(vals)), dtype=complex)
+    out[idx, idx ^ flip] = vals
     return out
 
 
@@ -293,24 +367,48 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
     Rotations and couplings are ideal; free evolution happens only at
     explicit Delay events.  Coupling gates require a nonzero J on the pair,
     since their duration 1/(2 J) would otherwise diverge.
+
+    Delays, couplings and z rotations are diagonal, so their phase angles add
+    up in one pending vector, applied in a single pass before the next x or y
+    rotation and at the end.  A crusher commutes with them and does not wait.
+    An x rotation is a y rotation in the frame turned by pi/2 about z,
+    ``Rx(a) = Rz(-pi/2) Ry(a) Rz(pi/2)`` on each distinct listed spin, and
+    the two frame turns join the pending phase on either side.
     """
-    rho = pseudopure_init(validate_label(init, s.n))
+    n = s.n
+    rho = pseudopure_init(validate_label(init, n))
     energies = build_hamiltonian(s)
+    zs = _z_signs(n)
+    pending = None  # the angles of the diagonal events not yet applied
     for ev in seq:
         if isinstance(ev, Rotation):
-            rho = apply_rotation(rho, ev.spins, ev.axis, ev.angle)
+            ax, sign = split_axis(ev.axis)
+            _check_spins(n, ev.spins)
+            if ax == "z":
+                angles = _z_angles(zs, ev.spins, sign * ev.angle)
+            else:
+                frame = _z_angles(zs, set(ev.spins), np.pi / 2) if ax == "x" else None
+                pending = _join(pending, frame)
+                if pending is not None:
+                    rho = _phase(rho, pending)
+                rho = apply_rotation(rho, ev.spins, "y", sign * ev.angle)
+                pending = None if frame is None else -frame
+                continue
         elif isinstance(ev, JCoupling):
+            _check_spins(n, ev.pair)
             i, jx = ev.pair
             if s.j[i, jx] == 0.0:
                 raise ValueError(f"spins {i} and {jx} have no J coupling")
-            rho = apply_jcoupling(rho, ev.pair, ev.angle)
+            angles = _zz_angles(zs, ev.pair, ev.angle)
         elif isinstance(ev, Delay):
-            rho = evolve(rho, energies, ev.duration)
+            angles = _free_angles(energies, ev.duration)
         elif isinstance(ev, Gradient):
             rho = gradient_crush(rho, ev.spins)
+            continue
         else:
             raise ValueError(f"unknown pulse event {ev!r}")
-    return rho
+        pending = _join(pending, angles)
+    return rho if pending is None else _phase(rho, pending)
 
 
 def acausality_sequence(flip: bool) -> list[PulseEvent]:

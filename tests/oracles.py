@@ -1,12 +1,24 @@
 """Independent reference constructions that the library itself does not need.
 
 The outcome kernel ``circuits._outcome_amplitudes`` rolls and phases the
-input instead of building a basis; these explicit forms are what the tests
-hold it to.
+input instead of building a basis, and ``nmr.run_sequence`` folds its
+diagonal events into one phase pass; these explicit forms are what the tests
+hold them to.
 """
 
 import numpy as np
 
+from timeflow.nmr import (
+    Delay,
+    JCoupling,
+    Rotation,
+    apply_jcoupling,
+    apply_rotation,
+    build_hamiltonian,
+    evolve,
+    gradient_crush,
+    pseudopure_init,
+)
 from timeflow.reversal import local_dimension
 
 
@@ -41,3 +53,20 @@ def entangled_basis(omega: np.ndarray) -> list[np.ndarray]:
             w = w @ clock
         sm = shift @ sm
     return basis
+
+
+def event_by_event(s, init, seq):
+    """The state after ``seq`` with one public kernel call per event, in
+    order: the reference for ``run_sequence``'s pending phase and x frame."""
+    rho = pseudopure_init(init)
+    energies = build_hamiltonian(s)
+    for ev in seq:
+        if isinstance(ev, Rotation):
+            rho = apply_rotation(rho, ev.spins, ev.axis, ev.angle)
+        elif isinstance(ev, JCoupling):
+            rho = apply_jcoupling(rho, ev.pair, ev.angle)
+        elif isinstance(ev, Delay):
+            rho = evolve(rho, energies, ev.duration)
+        else:
+            rho = gradient_crush(rho, ev.spins)
+    return rho

@@ -222,6 +222,25 @@ def test_random_unitary_is_unitary():
 # above the size up to which apply_local switches to one gemm.
 CARRIERS = {2: 8, 3: 5, 4: 4}
 
+# A complex op, a real one and a real one stored as complex; the last two
+# take the real view of the tensor, where the trailing block is 2 d right.
+OP_KINDS = ("complex", "real", "real as complex")
+
+
+def _draw_op(rng, d, kind):
+    op = rng.standard_normal((d, d))
+    if kind == "complex":
+        return op + 1j * rng.standard_normal((d, d))
+    return op.astype(complex) if kind == "real as complex" else op
+
+
+def _apply_local_oracle(t, axis, op):
+    """``1 (x) op (x) 1`` as one dense matrix on the flattened carriers."""
+    batch, *carriers = t.shape
+    d = op.shape[0]
+    dense = np.kron(np.kron(np.eye(d**axis), op), np.eye(d ** (len(carriers) - 1 - axis)))
+    return (t.reshape(batch, -1) @ dense.T).reshape(t.shape)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -230,19 +249,43 @@ CARRIERS = {2: 8, 3: 5, 4: 4}
     axis=st.integers(0, 7),
     batch=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(OP_KINDS),
 )
-@example(d=2, carriers=8, axis=0, batch=2, seed=0)  # d * right = 256: stacked
-@example(d=2, carriers=8, axis=7, batch=2, seed=1)  # d * right = 2: one gemm
-@example(d=3, carriers=5, axis=1, batch=1, seed=2)  # 81: stacked
-@example(d=4, carriers=4, axis=2, batch=3, seed=3)  # 16: one gemm
-def test_apply_local_matches_dense_oracle(d, carriers, axis, batch, seed):
+@example(d=2, carriers=8, axis=0, batch=2, seed=0, kind="complex")  # d * right = 256: stacked
+@example(d=2, carriers=8, axis=7, batch=2, seed=1, kind="complex")  # d * right = 2: one gemm
+@example(d=3, carriers=5, axis=1, batch=1, seed=2, kind="complex")  # 81: stacked
+@example(d=4, carriers=4, axis=2, batch=3, seed=3, kind="complex")  # 16: one gemm
+@example(d=4, carriers=4, axis=1, batch=2, seed=4, kind="complex")  # 64: stacked
+@example(d=2, carriers=8, axis=5, batch=2, seed=5, kind="real")  # real 2 d right = 16: one gemm
+@example(d=2, carriers=8, axis=4, batch=1, seed=6, kind="real as complex")  # real 32: stacked
+@example(d=4, carriers=4, axis=3, batch=2, seed=7, kind="real as complex")  # real 8: one gemm
+@example(d=4, carriers=4, axis=2, batch=3, seed=8, kind="real")  # real 32: stacked
+@example(d=3, carriers=5, axis=4, batch=1, seed=9, kind="real")  # real 6: one gemm
+@example(d=3, carriers=5, axis=3, batch=2, seed=10, kind="real as complex")  # real 18: stacked
+def test_apply_local_matches_dense_oracle(d, carriers, axis, batch, seed, kind):
     carriers = min(carriers, CARRIERS[d])
     axis %= carriers
     rng = np.random.default_rng(seed)
     shape = (batch,) + (d,) * carriers
     t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    dense = np.kron(np.kron(np.eye(d**axis), op), np.eye(d ** (carriers - 1 - axis)))
-    expected = (t.reshape(batch, -1) @ dense.T).reshape(shape)
+    op = _draw_op(rng, d, kind)
+    expected = _apply_local_oracle(t, axis, op)
     actual = apply_local(t, 1 + axis, op)
+    assert actual.shape == shape and actual.dtype == complex
     assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("kind", OP_KINDS)
+@pytest.mark.parametrize("axis", [0, 2, 4])
+def test_apply_local_on_a_transposed_view(kind, axis):
+    # the real and imaginary parts of a non-contiguous tensor do not
+    # interleave along its last axis, so it keeps the complex path
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((2,) * 6) + 1j * rng.standard_normal((2,) * 6)
+    t = base.T[None]
+    assert not t.flags.c_contiguous
+    op = _draw_op(rng, 2, kind)
+    expected = _apply_local_oracle(np.ascontiguousarray(t), axis, op)
+    assert np.max(np.abs(apply_local(t, 1 + axis, op) - expected)) <= 1e-12 * np.max(
+        np.abs(expected)
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import event_by_event
 from strategies import SIGNED_AXES, pulse_sequences
 
 from timeflow.circuits import Gate1, GateCircuit, run_gate_circuit
@@ -217,6 +218,11 @@ class TestEvolve:
         with pytest.raises(ValueError, match="per row"):
             evolve(np.ones(shape, dtype=complex), np.zeros(length), 0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            evolve(np.eye(2), [1.0, 2.0], t)
+
 
 class TestRotations:
     def test_y_quarter_turn_takes_z_to_x(self):
@@ -413,6 +419,44 @@ class TestRunSequence:
         s = two_spin()
         rho = run_sequence(s, "XZ", [Gradient((0,))])
         assert np.max(np.abs(rho)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: Delay(np.nan), "delay must be finite"),
+            (lambda: Delay(np.inf), "delay must be finite"),
+            (lambda: Rotation((0,), "x", np.nan), "rotation angle must be finite"),
+            (lambda: Rotation((0,), "z", -np.inf), "rotation angle must be finite"),
+            (lambda: JCoupling((0, 1), np.inf), "coupling angle must be finite"),
+        ],
+        ids=["delay-nan", "delay-inf", "x-nan", "z-inf", "j-inf"],
+    )
+    def test_non_finite_event_rejected(self, make, message):
+        # rejected where the event is built, so no NaN reaches a state
+        with pytest.raises(ValueError, match=message):
+            run_sequence(two_spin(), "X0", [make()])
+
+    @pytest.mark.parametrize(
+        "event,message",
+        [
+            (Rotation((2,), "z", 1.0), "spin index 2 out of range"),
+            (Rotation((0, -1), "-x", 1.0), "spin index -1 out of range"),
+            (Rotation((0, 2), "y", 1.0), "spin index 2 out of range"),
+            (JCoupling((0, 2), 1.0), "spin index 2 out of range"),
+            (JCoupling((1, 1), 1.0), "no J coupling"),
+            (Gradient((3,)), "spin index 3 out of range"),
+        ],
+    )
+    def test_folded_events_keep_the_kernel_checks(self, event, message):
+        seq = [Delay(1e-3), Rotation((0,), "z", 0.3), event]
+        with pytest.raises(ValueError, match=message):
+            run_sequence(two_spin(), "XY", seq)
+
+    def test_non_finite_generator_rejected_at_a_delay(self):
+        s = SpinSystem((1e308,), np.zeros((1, 1)))  # pi * 1e308 overflows
+        assert run_sequence(s, "X", [Rotation((0,), "z", 0.5)]).shape == (2, 2)
+        with pytest.raises(ValueError, match="real, finite energy"):
+            run_sequence(s, "X", [Rotation((0,), "z", 0.5), Delay(1e-3)])
 
 
 class TestFid:
@@ -626,6 +670,11 @@ def dense_sequence(s, init, seq):
     return rho
 
 
+FOUR_SPINS = SpinSystem.from_couplings(
+    [120.0, -340.0, 55.0, 410.0],
+    {(a, b): 7.0 + 11.0 * a - 3.0 * b for a in range(4) for b in range(a)},
+)
+
 EIGHT_SPINS = (
     SpinSystem.from_couplings(
         [-350.0 + 100.0 * k for k in range(8)],
@@ -674,6 +723,15 @@ class TestAgainstDenseForms:
         slow = dense_decompose(rho, n, tol=1e-9)
         assert [label for label, _ in fast] == [label for label, _ in slow]
         assert_close([c for _, c in fast], [c for _, c in slow])
+
+    @DENSE
+    @given(label=st.text("IXYZ01", min_size=1, max_size=6))
+    def test_pseudopure_init(self, label):
+        factors = {"I": I2, "X": X, "Y": Y, "Z": Z, "0": P0, "1": I2 - P0}
+        dense = np.ones((1, 1))
+        for ch in label:
+            dense = kron(dense, factors[ch])
+        assert np.array_equal(pseudopure_init(label), dense)
 
     @DENSE
     @given(n=st.integers(1, 5), seed=SEEDS)
@@ -727,6 +785,18 @@ class TestAgainstDenseForms:
     @DENSE
     @given(case=pulse_sequences())
     @example(case=EIGHT_SPINS)
+    @example(case=(FOUR_SPINS, "XY0Z", [Rotation((3, 3), "x", np.pi / 4), Delay(0.002)]))
+    @example(case=(FOUR_SPINS, "YIXZ", [Delay(0.001), Rotation((1, 2, 1), "x", 0.9)]))
+    @example(case=(FOUR_SPINS, "X1YI", [JCoupling((0, 3), 0.4), Rotation((0, 2), "-x", 1.1)]))
+    @example(case=(FOUR_SPINS, "XXY0", [Rotation((1, 1, 0), "z", 0.7), Rotation((2,), "y", 0.3)]))
+    @example(case=(FOUR_SPINS, "XYXY", [  # a J/delay/z run split by a crusher
+        JCoupling((0, 1), 0.8), Delay(0.003), Rotation((2,), "-z", 1.2), Gradient((1,)),
+        JCoupling((1, 2), -0.6), Delay(0.001), Rotation((0, 0), "z", 0.4),
+        Rotation((1, 3), "y", 0.5),
+    ]))
+    @example(case=(FOUR_SPINS, "ZX1Y", [  # ends with the phase still pending
+        Rotation((0,), "y", 1.0), Rotation((1,), "x", -0.6), Delay(0.002), JCoupling((2, 3), 1.3),
+    ]))
     def test_run_sequence(self, case):
         s, init, seq = case
         assert_close(run_sequence(s, init, seq), dense_sequence(s, init, seq), tol=1e-10)
@@ -740,3 +810,36 @@ class TestAgainstDenseForms:
         state = random_state(2**n, rng)
         out = run_gate_circuit(GateCircuit(n, (Gate1(qubit, u),)), state)[()].raw
         assert_close(out, _embed(u, qubit, n) @ state)
+
+
+def _shuffled_sequence(n, rng):
+    """Every event kind at n spins in a random order: single and three-spin
+    rotations (one with a repeated spin) about every signed axis, couplings,
+    delays and one crusher."""
+    axes = ["x", "y", "z", "-x", "-y", "-z"]
+    seq = [Rotation((int(rng.integers(n)),), ax, float(rng.uniform(-np.pi, np.pi)))
+           for ax in axes]
+    for ax in axes:
+        spins = tuple(int(k) for k in rng.choice(n, size=3, replace=False))
+        seq.append(Rotation(spins, ax, float(rng.uniform(-np.pi, np.pi))))
+    seq.append(Rotation(spins[:2] + spins[:1], "x", 0.8))
+    for _ in range(4):
+        pair = tuple(int(k) for k in rng.choice(n, size=2, replace=False))
+        seq.append(JCoupling(pair, float(rng.uniform(-np.pi, np.pi))))
+        seq.append(Delay(float(rng.uniform(1e-4, 2e-3))))
+    seq.append(Gradient(tuple(int(k) for k in rng.choice(n, size=2, replace=False))))
+    return [seq[i] for i in rng.permutation(len(seq))]
+
+
+@pytest.mark.parametrize("n,seed", [(8, 0), (8, 1), (8, 2), (10, 3)])
+def test_run_sequence_matches_event_by_event_kernels(n, seed):
+    # the fold against one public kernel call per event, at the sizes of the
+    # dynamics benchmark; no dense oracle fits there
+    rng = np.random.default_rng([14, n, seed])
+    s = _random_system(n, rng)
+    # a nonzero trace, which every event keeps, so the crusher cannot zero the state
+    init = "".join(rng.choice(list("I01"), size=n - 1)) + "0"
+    seq = _shuffled_sequence(n, rng)
+    expected = event_by_event(s, init, seq)
+    assert np.max(np.abs(expected)) > 1e-3
+    assert_close(run_sequence(s, init, seq), expected, tol=1e-10)
