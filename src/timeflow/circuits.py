@@ -46,11 +46,11 @@ from .linalg import (
 )
 from .reversal import (
     Encoding,
+    _local_frame_gate,
+    _time_reverse_gate,
     amplitude_matrix,
     is_maximally_entangled,
     local_dimension,
-    local_frame_gate,
-    time_reverse_gate,
     transfer_matrix,
 )
 
@@ -157,15 +157,17 @@ def _evolution_chain(c: TeleportCircuit, psi: np.ndarray, e: Encoding, reverse_g
     """The labeled legs of the one-qubit reading of the circuit.
 
     ``reverse_gate(u, e)`` supplies the reversed-clock form of a gate; the
-    production entry point passes :func:`timeflow.reversal.time_reverse_gate`.
-    Each leg has the batch shape of the circuit and ``psi``.
+    production entry point passes the unchecked kernel of
+    :func:`timeflow.reversal.time_reverse_gate`.  Each leg has the batch
+    shape of the circuit and ``psi``.  The circuit's gates and pairs are not
+    re-validated: :class:`TeleportCircuit` checked them on construction.
     """
     psi = _check_input(c, psi)
     d = c.d
     if e.d != d:
         raise ValueError(f"encoding dimension {e.d} != circuit dimension {d}")
-    chi_omega = local_frame_gate(c.omega, e)
-    chi_phi = local_frame_gate(c.phi, e)
+    chi_omega = _local_frame_gate(c.omega, e)
+    chi_phi = _local_frame_gate(c.phi, e)
     sqrt_d = np.sqrt(d)
     col = psi[..., None]
 
@@ -198,7 +200,7 @@ def timeflow_trace(
     floating-point roundoff for every encoding, which is how the conjugation
     sign drops out.
     """
-    return _evolution_chain(c, psi, e, time_reverse_gate)
+    return _evolution_chain(c, psi, e, _time_reverse_gate)
 
 
 def timeflow_eval(c: TeleportCircuit, psi: np.ndarray, e: Encoding) -> OutcomeReport:

@@ -254,7 +254,25 @@ def cmd_acausal(args) -> int:
     return 0
 
 
+def _write_columns(path, axis_name: str, grid: np.ndarray, values: np.ndarray) -> None:
+    """Write ``axis_name,real,imaginary`` and one row per point, in one write.
+
+    Each number is ``repr`` of a Python float and each line ends in
+    ``\\r\\n``: the bytes ``csv.writer`` wrote for the same floats.
+    """
+    rows = zip(grid.tolist(), values.real.tolist(), values.imag.tolist())
+    text = "".join([f"{axis_name},real,imaginary\r\n"] + ["%r,%r,%r\r\n" % row for row in rows])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def cmd_nmr(args) -> int:
+    if args.detect is None:
+        for flag in ("--fid-out", "--spectrum-out", "--duration", "--points"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ValueError(f"{flag} requires --detect")
+    elif args.duration is None or args.points is None:
+        raise ValueError("--detect requires --duration and --points")
     system = load_spin_system(args.spin_system)
     sequence = load_sequence(args.sequence)
     for k, event in enumerate(sequence, 1):
@@ -281,27 +299,17 @@ def cmd_nmr(args) -> int:
     }
     rows = [{"term": label, "coefficient": coeff} for label, coeff in decomposition]
 
-    acquire = args.detect is not None
-    if acquire:
-        if args.duration is None or args.points is None:
-            raise ValueError("--detect requires --duration and --points")
+    if args.detect is not None:
         detect = args.detect - 1
         signal = fid(system, rho, detect, args.duration, args.points)
-        spec = spectrum(signal, args.duration / args.points, args.broadening)
+        dwell = args.duration / args.points
+        spec = spectrum(signal, dwell, args.broadening)
         if args.fid_out:
-            with open(args.fid_out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["time_s", "real", "imaginary"])
-                dt = args.duration / args.points
-                for k, z in enumerate(signal):
-                    writer.writerow([k * dt, z.real, z.imag])
+            times = np.arange(args.points) * dwell
+            _write_columns(args.fid_out, "time_s", times, signal)
             report["fid_file"] = args.fid_out
         if args.spectrum_out:
-            with open(args.spectrum_out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["frequency_hz", "real", "imaginary"])
-                for f, z in zip(spec.frequencies, spec.intensities):
-                    writer.writerow([f, z.real, z.imag])
+            _write_columns(args.spectrum_out, "frequency_hz", spec.frequencies, spec.intensities)
             report["spectrum_file"] = args.spectrum_out
     _emit(report, rows, args)
     return 0
@@ -314,10 +322,13 @@ _COMMANDS = {
     "nmr": cmd_nmr,
 }
 
+# Built once per process: parse_args returns a fresh namespace on every call
+# and no command changes the parser.
+_PARSER = build_parser()
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -49,6 +49,7 @@ from .linalg import (
 )
 from .reversal import (
     Encoding,
+    _time_reverse_gate,
     amplitude_matrix,
     backward_state,
     canonical_pair,
@@ -328,7 +329,7 @@ def run_all(
     """Run every suite at tolerance ``tol`` (the two exact suites report 0)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    reverse_gate = faulty_reverse_gate if faulty else time_reverse_gate
+    reverse_gate = faulty_reverse_gate if faulty else _time_reverse_gate
     return [
         fn(np.random.default_rng([seed, idx]), trials, tuple(dims), tol, reverse_gate)
         for idx, fn in enumerate(SUITES)

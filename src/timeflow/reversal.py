@@ -143,6 +143,12 @@ def time_reverse_state(psi: np.ndarray, e: Encoding) -> np.ndarray:
     return conjugate(psi) @ transpose(e.matrix)
 
 
+def _time_reverse_gate(u: np.ndarray, e: Encoding) -> np.ndarray:
+    """:func:`time_reverse_gate` without its checks, for gates a validated
+    circuit already holds."""
+    return e.matrix @ transpose(u) @ dagger(e.matrix)
+
+
 def time_reverse_gate(u: np.ndarray, e: Encoding) -> np.ndarray:
     """Gate seen from the reversed clock: sandwich the transpose.
 
@@ -154,13 +160,19 @@ def time_reverse_gate(u: np.ndarray, e: Encoding) -> np.ndarray:
         raise ValueError(f"gate shape {u.shape} != encoding dimension {e.d}")
     if not is_unitary(u, INPUT_TOL):
         raise ValueError("gate must be unitary")
-    return e.matrix @ transpose(u) @ dagger(e.matrix)
+    return _time_reverse_gate(u, e)
 
 
 def canonical_pair(e: Encoding) -> np.ndarray:
     """The maximally entangled state whose transfer matrix is the encoding's
     reversal unitary."""
     return state_of_matrix(e.matrix / np.sqrt(e.d))
+
+
+def _local_frame_gate(psi: np.ndarray, e: Encoding) -> np.ndarray:
+    """:func:`local_frame_gate` without its checks, for pairs a validated
+    circuit already holds."""
+    return transpose(transfer_matrix(psi)) @ conjugate(e.matrix)
 
 
 def local_frame_gate(psi: np.ndarray, e: Encoding) -> np.ndarray:
@@ -176,7 +188,7 @@ def local_frame_gate(psi: np.ndarray, e: Encoding) -> np.ndarray:
         raise ValueError("state does not match the encoding's carrier dimension")
     if not is_maximally_entangled(psi, INPUT_TOL):
         raise ValueError("state is not maximally entangled")
-    return transpose(transfer_matrix(psi)) @ conjugate(e.matrix)
+    return _local_frame_gate(psi, e)
 
 
 def backward_state(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

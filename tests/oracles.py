@@ -1,10 +1,12 @@
 """Independent reference constructions that the library itself does not need.
 
 The outcome kernel ``circuits._outcome_amplitudes`` rolls and phases the
-input instead of building a basis, and ``nmr.run_sequence`` folds its
-diagonal events into one phase pass; these explicit forms are what the tests
-hold them to.
+input instead of building a basis, ``nmr.run_sequence`` folds its diagonal
+events into one phase pass, and ``timeflow nmr`` writes its CSV exports a
+column at a time; these explicit forms are what the tests hold them to.
 """
+
+import csv
 
 import numpy as np
 
@@ -70,3 +72,23 @@ def event_by_event(s, init, seq):
         else:
             rho = gradient_crush(rho, ev.spins)
     return rho
+
+
+def write_fid_csv(path, signal, duration, points):
+    """The FID export written row by row with ``csv.writer``, sample ``k``
+    at time ``k * (duration / points)``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s", "real", "imaginary"])
+        dt = duration / points
+        for k, z in enumerate(signal):
+            writer.writerow([k * dt, z.real, z.imag])
+
+
+def write_spectrum_csv(path, spec):
+    """The spectrum export written row by row with ``csv.writer``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["frequency_hz", "real", "imaginary"])
+        for f, z in zip(spec.frequencies, spec.intensities):
+            writer.writerow([f, z.real, z.imag])

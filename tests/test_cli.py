@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import timeflow.circuits as circuits
+from oracles import write_fid_csv, write_spectrum_csv
 from timeflow.cli import main
-from timeflow.formats import vector_pairs
+from timeflow.formats import load_sequence, load_spin_system, vector_pairs
 from timeflow.linalg import random_unitary
+from timeflow.nmr import fid, run_sequence, spectrum
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = CONFIGS.parent / "tests" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -272,32 +275,51 @@ class TestNmr:
         assert set(report["decomposition"]) == {"XIIX", "XZIX", "XIZX", "XZZX"}
 
     def test_spectrum_csv_written(self, capsys, tmp_path):
-        spec_path = tmp_path / "spec.csv"
-        fid_path = tmp_path / "fid.csv"
-        code, report = run_json(
-            capsys,
-            "nmr",
-            "--spin-system",
-            f"{CONFIGS}/fourspin.spinsys",
-            "--sequence",
-            f"{CONFIGS}/flip_off.seq",
-            "--detect",
-            "1",
-            "--duration",
-            "1.0",
-            "--points",
-            "256",
-            "--spectrum-out",
-            str(spec_path),
-            "--fid-out",
-            str(fid_path),
-        )
-        assert code == 0
-        assert report["spectrum_file"] == str(spec_path)
-        lines = spec_path.read_text().splitlines()
-        assert lines[0] == "frequency_hz,real,imaginary"
-        assert len(lines) == 257
-        assert fid_path.read_text().splitlines()[0] == "time_s,real,imaginary"
+        # (spin system, sequence, initial label, detected spin, points, duration)
+        cases = [
+            (CONFIGS / "fourspin.spinsys", CONFIGS / "flip_off.seq", "X00X", 1, 256, 1.0),
+            (CONFIGS / "fourspin.spinsys", CONFIGS / "flip_on.seq", "X00X", 1, 256, 1.0),
+            (GOLDEN / "gen6.spinsys", GOLDEN / "gen6.seq", "XZ0Y1I", 3, 777, 0.5),
+        ]
+        for k, (spinsys, seq, initial, detect, points, duration) in enumerate(cases):
+            spec_path = tmp_path / f"spec{k}.csv"
+            fid_path = tmp_path / f"fid{k}.csv"
+            code, report = run_json(
+                capsys,
+                "nmr",
+                "--spin-system",
+                str(spinsys),
+                "--sequence",
+                str(seq),
+                "--initial",
+                initial,
+                "--detect",
+                str(detect),
+                "--duration",
+                str(duration),
+                "--points",
+                str(points),
+                "--spectrum-out",
+                str(spec_path),
+                "--fid-out",
+                str(fid_path),
+            )
+            assert code == 0
+            assert report["spectrum_file"] == str(spec_path)
+            assert report["fid_file"] == str(fid_path)
+            lines = spec_path.read_text().splitlines()
+            assert lines[0] == "frequency_hz,real,imaginary"
+            assert len(lines) == points + 1
+            assert fid_path.read_text().splitlines()[0] == "time_s,real,imaginary"
+
+            # Byte for byte what a row-by-row csv.writer writes for the same arrays.
+            system = load_spin_system(spinsys)
+            rho = run_sequence(system, initial, load_sequence(seq))
+            signal = fid(system, rho, detect - 1, duration, points)
+            write_fid_csv(tmp_path / "fid-ref.csv", signal, duration, points)
+            write_spectrum_csv(tmp_path / "spec-ref.csv", spectrum(signal, duration / points, 1.0))
+            assert fid_path.read_bytes() == (tmp_path / "fid-ref.csv").read_bytes()
+            assert spec_path.read_bytes() == (tmp_path / "spec-ref.csv").read_bytes()
 
     @pytest.mark.parametrize("detect", ["0", "9"])
     def test_detect_out_of_range(self, capsys, detect):
@@ -322,6 +344,19 @@ class TestNmr:
             "1",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--fid-out", "--spectrum-out", "--duration", "--points"])
+    def test_acquisition_flag_without_detect(self, capsys, tmp_path, flag):
+        value = str(tmp_path / "out.csv") if flag.endswith("-out") else "64"
+        code = main(
+            ["nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys", "--sequence",
+             f"{CONFIGS}/flip_on.seq", flag, value]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{flag} requires --detect" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "seq,message",
@@ -405,6 +440,39 @@ def test_cli_imports_without_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_parser_shared_across_calls(capsys, tmp_path):
+    """Guards the module-level parser that every ``main`` call reuses: no
+    option, default or error may carry from one call into the next."""
+    identity = f"{CONFIGS}/teleport_identity.json"
+    nmr = ["nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys",
+           "--sequence", f"{CONFIGS}/flip_on.seq"]
+    _, lone_spin = run_json(capsys, "teleport", "--circuit", identity)
+    _, lone_nmr = run_json(capsys, *nmr)
+
+    _, photon = run_json(capsys, "teleport", "--circuit", identity, "--encoding", "photon")
+    assert photon["config"]["encoding"] == "photon-number"
+    _, spin = run_json(capsys, "teleport", "--circuit", identity)
+    assert spin == lone_spin
+
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport"])
+    assert exc.value.code == 2
+    assert "--circuit" in capsys.readouterr().err
+    _, after_error = run_json(capsys, "teleport", "--circuit", identity)
+    assert after_error == lone_spin
+
+    code, acquired = run_json(
+        capsys, *nmr, "--detect", "1", "--duration", "1.0", "--points", "64",
+        "--fid-out", str(tmp_path / "fid.csv"),
+    )
+    assert code == 0
+    assert "fid_file" in acquired
+    code, plain = run_json(capsys, *nmr)
+    assert code == 0
+    assert "fid_file" not in plain
+    assert plain == lone_nmr
 
 
 class TestCsvFormat:

@@ -26,13 +26,16 @@ def test_trials_counted_per_suite():
 
 
 def test_fault_injection_breaks_only_chain_suites():
-    results = run_all(seed=5, trials=15, faulty=True)
-    failing = {r.name for r in results if not r.passed}
-    assert failing == {
-        "chain_consistency",
-        "semantics_equivalence",
-        "encoding_independence",
-    }
+    # The last three runs are verify's benchmark size; the chain runs the
+    # unchecked kernels, so the fault must surface through its reverse_gate.
+    for seed, trials, dims in [(5, 15, (2, 3))] + [(s, 50, (2, 3, 4, 8)) for s in (1, 2, 3)]:
+        results = run_all(seed=seed, trials=trials, dims=dims, faulty=True)
+        failing = {r.name for r in results if not r.passed}
+        assert failing == {
+            "chain_consistency",
+            "semantics_equivalence",
+            "encoding_independence",
+        }
 
 
 def test_deterministic_given_seed():

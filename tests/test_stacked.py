@@ -8,6 +8,8 @@ trial-by-trial loop of :func:`random_unitary` and :func:`random_state` draws
 from a twin generator.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import entangled_basis
 from strategies import DIMS, encodings, stack, teleport_members
+from timeflow import circuits as circuits_module
 from timeflow import properties
 from timeflow.circuits import (
     TeleportCircuit,
@@ -73,6 +76,21 @@ class TestCircuitKernels:
         for k, (label, leg) in enumerate(legs):
             assert all(t[k][0] == label for t in traces)
             assert _worst(leg, [t[k][1] for t in traces]) <= TOL
+
+    @EXAMPLES
+    @given(teleport_members(), st.data())
+    def test_unchecked_chain_equals_checked_chain(self, members, data):
+        # The chain skips the checks TeleportCircuit already made; building it
+        # from the checked public functions must give the same bits.
+        d, circuits, states = members
+        e = data.draw(encodings(d))
+        c, psi = stack(circuits), np.stack(states)
+        legs = timeflow_trace(c, psi, e)
+        with mock.patch.object(circuits_module, "_local_frame_gate", local_frame_gate):
+            checked = _evolution_chain(c, psi, e, time_reverse_gate)
+        for (label, leg), (ref_label, ref) in zip(legs, checked, strict=True):
+            assert label == ref_label
+            assert np.array_equal(leg, ref)
 
     @EXAMPLES
     @given(teleport_members(), st.data())
