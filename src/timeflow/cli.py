@@ -297,7 +297,9 @@ def cmd_nmr(args) -> int:
         },
         "decomposition": {label: coeff for label, coeff in decomposition},
     }
-    rows = [{"term": label, "coefficient": coeff} for label, coeff in decomposition]
+    rows = []
+    if args.format == "csv":
+        rows = [{"term": label, "coefficient": coeff} for label, coeff in decomposition]
 
     if args.detect is not None:
         detect = args.detect - 1
@@ -330,6 +332,8 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        if args.tol < 0:
+            raise ValueError(f"--tol must be non-negative, got {args.tol}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -517,6 +517,12 @@ def spectrum(signal: np.ndarray, dwell: float, line_broadening: float = 0.0) -> 
     signal = np.asarray(signal)
     n = signal.shape[0]
     times = np.arange(n) * dwell
+    # The largest decay exponent, in Python floats (which overflow without a
+    # warning): inf there, or inf * 0 = nan at n = 1, would make the spectrum NaN.
+    if n and not math.isfinite(math.pi * float(line_broadening) * float(times[-1])):
+        raise ValueError(
+            f"line broadening {line_broadening} Hz overflows the apodization decay"
+        )
     apodized = signal * np.exp(-np.pi * line_broadening * times)
     intensities = np.fft.fftshift(np.fft.fft(apodized))
     freqs = np.fft.fftshift(np.fft.fftfreq(n, d=dwell))

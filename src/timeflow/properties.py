@@ -2,19 +2,20 @@
 
 Every suite takes ``(rng, trials, dims, tol, reverse_gate)``, ignores what
 it does not use, draws its trials from ``rng``, reports the worst deviation
-it saw, and passes iff that deviation is within tolerance.  The
-suites are what ``timeflow verify`` runs; the fault-injection mode replaces
-the gate-reversal rule with a deliberately wrong one (conjugation skipped,
-leaving the adjoint instead of the transpose) to demonstrate that the
-chain-consistency and semantics-equivalence suites would catch such a
-regression.
+it saw, and passes iff that deviation is within tolerance.  The suites are
+what ``timeflow verify`` runs; the fault-injection mode replaces the
+gate-reversal rule with a deliberately wrong one (conjugation skipped,
+leaving the adjoint instead of the transpose) to show which suites catch
+such a regression.  :func:`run_all` gives suite k the stream ``[seed, k]``,
+except that the three circuit suites share one pass (:func:`_circuit_rows`)
+over the circuits of stream ``[seed, 7]``.
 
 Trials run in blocks: each block draws all of its normals in one call, cut
 in the order a trial-by-trial loop over ``linalg.random_unitary`` and
 ``linalg.random_state`` would draw them, and every check runs on the stacked
-arrays.  A block holds ``BLOCK_ELEMENTS // max(dims)**k`` trials, with k = 3
-for the circuit and d**4 suites and k = 2 for the others.  The two suites
-that build d**4 elements per trial (``backward_consistency`` and
+arrays.  A block holds ``BLOCK_ELEMENTS // cost`` trials, with cost
+``max(dims)**3`` for the circuit and d**4 suites and, for the others, the
+normals one trial draws.  The two d**4 suites (``backward_consistency`` and
 ``entanglement_unitarity``) work through a block in slices of
 ``BLOCK_ELEMENTS // d**4`` trials per dimension, so a small dimension takes
 one pass.  Memory does not grow with the trial count.
@@ -31,11 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    TeleportCircuit,
-    _evolution_chain,
-    _outcome_amplitudes,
-)
+from .circuits import TeleportCircuit, _evolution_chain, _outcome_amplitudes
 from .linalg import (
     DEFAULT_TOL,
     INPUT_TOL,
@@ -117,16 +114,17 @@ def _encodings_for(d: int) -> list[Encoding]:
     return [photon_number(d)]
 
 
-def _blocks(rng, trials, layouts, cost):
+def _blocks(rng, trials, layouts, cost=None):
     """Stacked normals for blocks of trials, in trial-by-trial draw order.
 
     ``layouts`` holds, per stream part (one per dimension), the shapes that a
     trial draws there in turn.  Each block is one ``standard_normal`` call of
-    ``max(1, BLOCK_ELEMENTS // cost)`` trials; it yields, per part, one
-    ``(trials, *shape)`` array per shape.
+    ``max(1, BLOCK_ELEMENTS // cost)`` trials, where ``cost`` defaults to the
+    normals one trial draws; it yields, per part, one ``(trials, *shape)``
+    array per shape.
     """
     ends = np.cumsum([math.prod(shape) for layout in layouts for shape in layout])
-    per_block = max(1, BLOCK_ELEMENTS // cost)
+    per_block = max(1, BLOCK_ELEMENTS // (cost or int(ends[-1])))
     for start in range(0, trials, per_block):
         b = min(per_block, trials - start)
         pieces = iter(np.split(rng.standard_normal((b, ends[-1])), ends[:-1], axis=1))
@@ -153,7 +151,7 @@ def check_correspondence_roundtrip(rng, trials, dims, tol, reverse_gate):
     """state -> matrix -> state is the identity, elementwise, both ways."""
     dev = 0.0
     layouts = [((2, d * d), (2, d, d)) for d in dims]
-    for block in _blocks(rng, trials, layouts, max(dims) ** 2):
+    for block in _blocks(rng, trials, layouts):
         for state, matrix in block:
             phi = gaussian_state(state)
             q = matrix[:, 0] + 1j * matrix[:, 1]
@@ -210,10 +208,8 @@ def check_local_frame_relation(rng, trials, dims, tol, reverse_gate):
     every encoding."""
     dev = 0.0
     encodings = _encodings_for(2)
-    for ((normals,),) in _blocks(rng, trials, [((len(encodings), 2, 2, 2),)], 2**2):
-        pairs = _pairs(normals)
-        for k, e in enumerate(encodings):
-            psi = pairs[:, k]
+    for ((normals,),) in _blocks(rng, trials, [((len(encodings), 2, 2, 2),)]):
+        for psi, e in zip(np.moveaxis(_pairs(normals), 1, 0), encodings):
             chi = local_frame_gate(psi, e)
             rebuilt = (chi @ canonical_pair(e).reshape(2, 2)).reshape(psi.shape)
             dev = max(dev, np.max(np.abs(rebuilt - psi)))
@@ -228,15 +224,14 @@ def check_conjugation_sign(rng, trials, dims, tol, reverse_gate):
         for e in (spin_half(alpha), photon_number(2), photon_number(3)):
             count += 1
             g = conjugation_sign(e.matrix)
-            dev = max(dev, abs(g * g - 1))
-            dev = max(dev, abs(g - e.sign))
+            dev = max(dev, abs(g * g - 1), abs(g - e.sign))
     return _result("conjugation_sign", count, dev, 0.0)
 
 
 def check_spin_flip(rng, trials, dims, tol, reverse_gate):
     """All three spin-component expectations negate under time reversal."""
     dev = 0.0
-    for ((normals,),) in _blocks(rng, trials, [((2, 2),)], 2**2):
+    for ((normals,),) in _blocks(rng, trials, [((2, 2),)]):
         psi = gaussian_state(normals)
         rev = time_reverse_state(psi, spin_half())
         dev = max(dev, np.max(np.abs(spin_expectations(rev) + spin_expectations(psi))))
@@ -247,48 +242,48 @@ def check_double_reversal(rng, trials, dims, tol, reverse_gate):
     """Reversing a gate twice gives the gate back, for both signs."""
     dev = 0.0
     encodings = _encodings_for(2)
-    for ((normals,),) in _blocks(rng, trials, [((len(encodings), 2, 2, 2),)], 2**2):
-        gates = haar_unitary(normals)
-        for k, e in enumerate(encodings):
-            u = gates[:, k]
-            dev = max(
-                dev,
-                np.max(np.abs(time_reverse_gate(time_reverse_gate(u, e), e) - u)),
-            )
+    for ((normals,),) in _blocks(rng, trials, [((len(encodings), 2, 2, 2),)]):
+        for u, e in zip(np.moveaxis(haar_unitary(normals), 1, 0), encodings):
+            dev = max(dev, np.max(np.abs(time_reverse_gate(time_reverse_gate(u, e), e) - u)))
     return _result("double_reversal", trials, dev, tol)
+
+
+def _circuit_rows(rng, trials, dims, tol, reverse_gate) -> list[PropertyResult]:
+    """The rows of the three circuit suites, in ``SUITES`` order, from one
+    draw: every encoding's return leg against the closed form, the first
+    (photon-number) one against the oracle's designated outcome up to global
+    phase, and it and every oracle outcome against probability 1/d**2."""
+    chain = semantics = probability = 0.0
+    for d, c, psi in _circuit_draws(rng, trials, dims):
+        chains = [_evolution_chain(c, psi, e, reverse_gate) for e in _encodings_for(d)]
+        chain = max([chain] + [np.max(np.abs(legs[3][1] - legs[4][1])) for legs in chains])
+        ret = chains[0][3][1]
+        outcomes = _outcome_amplitudes(c, psi)
+        semantics = max(semantics, np.max(np.abs(phase_distance(ret, outcomes[..., 0, :]))))
+        probs = np.linalg.norm(outcomes, axis=-1) ** 2
+        probability = max(
+            probability,
+            np.max(np.abs(np.linalg.norm(ret, axis=-1) ** 2 - 1.0 / d**2)),
+            np.max(np.abs(probs - 1.0 / d**2)),
+            np.max(np.abs(np.sum(probs, axis=-1) - 1.0)),
+        )
+    names = ("chain_consistency", "semantics_equivalence", "probability_law")
+    return [_result(n, trials, dev, tol) for n, dev in zip(names, (chain, semantics, probability))]
 
 
 def check_chain_consistency(rng, trials, dims, tol, reverse_gate):
     """The return leg of the evolution chain equals the closed form."""
-    dev = 0.0
-    for d, c, psi in _circuit_draws(rng, trials, dims):
-        for e in _encodings_for(d):
-            chain = _evolution_chain(c, psi, e, reverse_gate)
-            dev = max(dev, np.max(np.abs(chain[3][1] - chain[4][1])))
-    return _result("chain_consistency", trials, dev, tol)
+    return _circuit_rows(rng, trials, dims, tol, reverse_gate)[0]
 
 
 def check_semantics_equivalence(rng, trials, dims, tol, reverse_gate):
     """Chain evaluation matches the tensor-product oracle up to global phase."""
-    dev = 0.0
-    for d, c, psi in _circuit_draws(rng, trials, dims):
-        chain = _evolution_chain(c, psi, _encodings_for(d)[0], reverse_gate)
-        oracle = _outcome_amplitudes(c, psi)[..., 0, :]
-        dev = max(dev, np.max(np.abs(phase_distance(chain[3][1], oracle))))
-    return _result("semantics_equivalence", trials, dev, tol)
+    return _circuit_rows(rng, trials, dims, tol, reverse_gate)[1]
 
 
 def check_probability_law(rng, trials, dims, tol, reverse_gate):
     """Every outcome probability is 1/d**2 in both semantics."""
-    dev = 0.0
-    for d, c, psi in _circuit_draws(rng, trials, dims):
-        chain = _evolution_chain(c, psi, _encodings_for(d)[0], reverse_gate)
-        chain_prob = np.linalg.norm(chain[3][1], axis=-1) ** 2
-        probs = np.linalg.norm(_outcome_amplitudes(c, psi), axis=-1) ** 2
-        dev = max(dev, np.max(np.abs(chain_prob - 1.0 / d**2)))
-        dev = max(dev, np.max(np.abs(probs - 1.0 / d**2)))
-        dev = max(dev, np.max(np.abs(np.sum(probs, axis=-1) - 1.0)))
-    return _result("probability_law", trials, dev, tol)
+    return _circuit_rows(rng, trials, dims, tol, reverse_gate)[2]
 
 
 def check_encoding_independence(rng, trials, dims, tol, reverse_gate):
@@ -303,7 +298,8 @@ def check_encoding_independence(rng, trials, dims, tol, reverse_gate):
     return _result("encoding_independence", trials, dev, tol)
 
 
-# Suite k draws from the stream [seed, k], so the order fixes every report.
+# Suite k draws from the stream [seed, k], so the order fixes every report;
+# run_all reports suites 7-9 from one _circuit_rows pass over stream [seed, 7].
 SUITES = (
     check_correspondence_roundtrip,
     check_backward_consistency,
@@ -317,6 +313,7 @@ SUITES = (
     check_probability_law,
     check_encoding_independence,
 )
+_CIRCUIT_ROWS = range(7, 10)  # the SUITES that _circuit_rows reports
 
 
 def run_all(
@@ -330,7 +327,9 @@ def run_all(
     if trials <= 0:
         raise ValueError("trials must be positive")
     reverse_gate = faulty_reverse_gate if faulty else _time_reverse_gate
-    return [
-        fn(np.random.default_rng([seed, idx]), trials, tuple(dims), tol, reverse_gate)
-        for idx, fn in enumerate(SUITES)
-    ]
+    args = (trials, tuple(dims), tol, reverse_gate)
+    rows = [fn(np.random.default_rng([seed, k]), *args)
+            for k, fn in enumerate(SUITES) if k not in _CIRCUIT_ROWS]
+    k = _CIRCUIT_ROWS.start
+    rows[k:k] = _circuit_rows(np.random.default_rng([seed, k]), *args)
+    return rows

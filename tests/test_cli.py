@@ -11,8 +11,8 @@ import timeflow.circuits as circuits
 from oracles import write_fid_csv, write_spectrum_csv
 from timeflow.cli import main
 from timeflow.formats import load_sequence, load_spin_system, vector_pairs
-from timeflow.linalg import random_unitary
-from timeflow.nmr import fid, run_sequence, spectrum
+from timeflow.linalg import INPUT_TOL, random_unitary
+from timeflow.nmr import fid, pauli_decompose, run_sequence, spectrum
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = CONFIGS.parent / "tests" / "golden"
@@ -432,6 +432,45 @@ def test_negative_broadening_is_input_error(capsys, tmp_path):
     assert not spectrum_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--trials", "1"],
+        ["teleport", "--circuit", f"{CONFIGS}/teleport_identity.json"],
+        ["acausal"],
+        ["nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys",
+         "--sequence", f"{CONFIGS}/flip_on.seq"],
+    ],
+)
+@pytest.mark.parametrize("tol", ["-1", "-1e-300"])
+def test_negative_tolerance_is_input_error(capsys, argv, tol):
+    code = main([*argv, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--tol must be non-negative, got {float(tol)}" in captured.err
+
+
+def test_zero_tolerance_accepted(capsys):
+    code, report = run_json(capsys, "acausal", "--tol", "0")
+    assert code == 0
+    assert report["config"]["tolerance"] == 0.0
+
+
+def test_overflowing_broadening_is_input_error(capsys, tmp_path):
+    spectrum_path = tmp_path / "spectrum.csv"
+    code = main([
+        "nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys",
+        "--sequence", f"{CONFIGS}/flip_on.seq", "--detect", "1", "--points", "8",
+        "--duration", "1", "--broadening", "1e308", "--spectrum-out", str(spectrum_path),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line broadening 1e+308 Hz overflows the apodization decay" in captured.err
+    assert not spectrum_path.exists()
+
+
 def test_cli_imports_without_scipy():
     code = "import sys; sys.modules['scipy'] = None; import timeflow.cli"
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -485,3 +524,20 @@ class TestCsvFormat:
         assert lines[0] == "property,trials,max_deviation,tolerance,passed"
         assert len(lines) == 12
         assert "# seed=1234" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nmr_outputs_list_the_decomposition(self, capsys, fmt):
+        # The CSV rows are built only for --format csv; both formats still
+        # carry every term, the JSON report as a dict and the CSV one a row each.
+        argv = ["nmr", "--spin-system", f"{GOLDEN}/gen5.spinsys",
+                "--sequence", f"{GOLDEN}/gen5.seq", "--initial", "X0Y1Z"]
+        system = load_spin_system(GOLDEN / "gen5.spinsys")
+        rho = run_sequence(system, "X0Y1Z", load_sequence(GOLDEN / "gen5.seq"))
+        terms = pauli_decompose(rho, tol=INPUT_TOL)
+        code, out = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["decomposition"] == dict(terms)
+        else:
+            lines = [l for l in out.splitlines() if not l.startswith("#")]
+            assert lines == ["term,coefficient"] + [f"{t},{c!r}" for t, c in terms]

@@ -512,6 +512,21 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="line broadening"):
             spectrum(np.ones(8, dtype=complex), 0.125, line_broadening=width)
 
+    # pi * width overflows to inf, whose product with t = 0 is NaN; or the
+    # exponent pi * width * t overflows at the last point
+    @pytest.mark.parametrize(
+        "points,dwell,width",
+        [(8, 0.125, 1e308), (1, 0.125, 1e308), (8, 0.125, np.finfo(float).max), (8, 1e10, 1e300)],
+    )
+    def test_overflowing_decay_rejected(self, points, dwell, width):
+        with pytest.raises(ValueError, match="line broadening .* overflows"):
+            spectrum(np.ones(points, dtype=complex), dwell, line_broadening=width)
+
+    def test_finite_decay_that_underflows_accepted(self):
+        # exp(-pi * 1e307 * t) is 1 at t = 0 and 0 after: a flat spectrum
+        spec = spectrum(np.ones(8, dtype=complex), 0.125, line_broadening=1e307)
+        assert np.all(spec.intensities == 1.0)
+
     def test_readout_multiplet_of_initial_state(self):
         # X00Z on four spins: C1 lines at nu1 + (J12 + J13 +- J14)/2, amplitudes +-
         s = PARAMETER_SETS[0]

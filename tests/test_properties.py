@@ -105,4 +105,59 @@ def test_haar_unitaries_drawn_per_run(monkeypatch, trials):
     assert counts == expected
     drawn.clear()
     run_all(seed=0, trials=trials, dims=dims)
-    assert sum(drawn) == sum(expected.values())
+    # the three circuit suites share one draw of circuits
+    assert sum(drawn) == sum(expected.values()) - 10 * per_dim
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+@pytest.mark.parametrize(
+    "seed,trials,dims", [(7, 5, (2, 3)), (1, 50, (2, 3, 4, 8)), (12, 9, (4, 2)), (3, 6, (3,))]
+)
+def test_fused_circuit_rows_equal_the_standalone_suites(seed, trials, dims, faulty):
+    # Rows 7-9 come from one pass over the circuits of stream [seed, 7]; each
+    # standalone suite on that stream is the reference.  Every other row is
+    # its suite on its own stream [seed, k].
+    gate = properties.faulty_reverse_gate if faulty else properties._time_reverse_gate
+    rows = run_all(seed=seed, trials=trials, dims=dims, faulty=faulty)
+    assert len(rows) == len(SUITES)
+    for k, (fn, row) in enumerate(zip(SUITES, rows)):
+        stream = 7 if k in properties._CIRCUIT_ROWS else k
+        assert row == fn(np.random.default_rng([seed, stream]), trials, dims, DEFAULT_TOL, gate)
+
+
+class _CountingGenerator:
+    """A generator that records how many normals each call draws."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def standard_normal(self, shape):
+        self.sizes.append(math.prod(shape))
+        return self.rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "name,per_trial",
+    [
+        # 2d^2 state and 2d^2 matrix normals for each --dims entry
+        ("correspondence_roundtrip", 4 * (4 + 9 + 16 + 64)),
+        # three pairs or gates of 2 x 2 x 2 normals
+        ("local_frame_relation", 24),
+        ("double_reversal", 24),
+    ],
+)
+def test_blocks_hold_what_a_trial_draws(monkeypatch, name, per_trial):
+    # These suites draw no coins, so the block size moves no value; and a
+    # block draws no more than BLOCK_ELEMENTS normals.
+    fn = getattr(properties, f"check_{name}")
+    dims, trials = (2, 3, 4, 8), 200
+    rows = []
+    for block_elements in (2**10, 2**16):
+        monkeypatch.setattr(properties, "BLOCK_ELEMENTS", block_elements)
+        rng = _CountingGenerator([4, block_elements])
+        rows.append(fn(rng, trials, dims, DEFAULT_TOL, time_reverse_gate))
+        per_block = block_elements // per_trial
+        assert rng.sizes == [
+            per_trial * min(per_block, trials - start) for start in range(0, trials, per_block)
+        ]
+    assert rows[0] == rows[1]
