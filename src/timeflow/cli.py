@@ -39,6 +39,9 @@ from .nmr import fid, pauli_decompose, run_sequence, spectrum
 from .reversal import is_maximally_entangled, photon_number, spin_half
 
 DEFAULT_SEED = 1234
+# Largest --points: the FID holds one complex sample per point and observed
+# line, so 2**16 points of a 10-spin state's 512 lines take 512 MiB.
+MAX_POINTS = 2**16
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -87,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", default="X00X", help="initial deviation label")
     p.add_argument("--detect", type=int, default=None, help="observed spin (1-based)")
     p.add_argument("--duration", type=finite_float, default=None, help="acquisition time (s)")
-    p.add_argument("--points", type=int, default=None, help="acquisition points")
+    p.add_argument(
+        "--points", type=int, default=None, help=f"acquisition points (at most {MAX_POINTS})"
+    )
     p.add_argument("--broadening", type=finite_float, default=1.0, help="line broadening (Hz)")
     p.add_argument("--spectrum-out", default=None, help="spectrum CSV path")
     p.add_argument("--fid-out", default=None, help="FID CSV path")
@@ -273,6 +278,8 @@ def cmd_nmr(args) -> int:
                 raise ValueError(f"{flag} requires --detect")
     elif args.duration is None or args.points is None:
         raise ValueError("--detect requires --duration and --points")
+    elif args.points > MAX_POINTS:
+        raise ValueError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
     system = load_spin_system(args.spin_system)
     sequence = load_sequence(args.sequence)
     for k, event in enumerate(sequence, 1):

@@ -80,23 +80,32 @@ def apply_local(t: np.ndarray, axis: int, op: np.ndarray) -> np.ndarray:
     """
     t = np.asarray(t)
     op = np.asarray(op)
+    return _apply_local_into(t, axis, op, np.empty(t.shape, np.result_type(t, op, 1.0)))
+
+
+def _apply_local_into(t: np.ndarray, axis: int, op: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`apply_local` written into ``out`` and returned.
+
+    ``out`` is a C-contiguous array of ``t``'s shape that does not overlap
+    ``t``.  When the products run on the real view of ``t``, they land in
+    the real view of ``out``.
+    """
     left = math.prod(t.shape[:axis])
     d, *rest = t.shape[axis:]
     right = math.prod(rest)
-    src, bound = t, _GEMM_INNER
+    src, dst, bound = t, out, _GEMM_INNER
     real_op = not (np.iscomplexobj(op) and op.imag.any())
     if real_op and t.dtype.kind == "c" and t.flags.c_contiguous:
-        op, src, right, bound = op.real, t.view(t.real.dtype), 2 * right, _GEMM_INNER_REAL
+        op, src, dst = op.real, t.view(t.real.dtype), out.view(out.real.dtype)
+        right, bound = 2 * right, _GEMM_INNER_REAL
     if d * right <= bound:
         # kron(op^T, 1_right) by broadcasting; np.kron costs more than the
         # product itself on a small state
         block = (op.T[:, None, :, None] * np.eye(right)[:, None]).reshape(d * right, -1)
-        out = src.reshape(left, d * right) @ block
+        np.matmul(src.reshape(left, d * right), block, out=dst.reshape(left, d * right))
     else:
-        out = op @ src.reshape(left, d, right)
-    if src is not t:
-        out = out.view(np.result_type(out, 1j))
-    return out.reshape(t.shape)
+        np.matmul(op, src.reshape(left, d, right), out=dst.reshape(left, d, right))
+    return out
 
 
 def projector(v: np.ndarray) -> np.ndarray:

@@ -37,10 +37,19 @@ or y rotation and at the end; a crusher commutes with it and acts at once.
 An x rotation is run as a y rotation in a frame turned about z,
 ``Rx(a) = Rz(-pi/2) Ry(a) Rz(pi/2)`` on each distinct listed spin, whose two
 turns join the pending phase.  Every rotation that touches the dense state is
-then real, and :func:`linalg.apply_local` contracts a real gate against the
-real view of the complex state.  The per-event kernels :func:`evolve`,
-:func:`apply_jcoupling`, :func:`apply_rotation` and :func:`gradient_crush`
-stay public and share the same angle formulas.
+then real, and :func:`linalg.apply_local`'s kernel contracts a real gate
+against the real view of the complex state.
+
+A sequence runs in two state buffers that :func:`run_sequence` owns: the
+initial state and one spare of its size.  A rotation's row pass on a spin
+writes into the spare and its column pass writes back, so the state is in
+the first buffer again after each spin; the phase flushes and the crusher's
+mask multiply in place.  No pass allocates a fresh 4**n-element array; the
+first buffer is returned as the final state, and the module keeps neither.
+The per-event kernels :func:`evolve`, :func:`apply_jcoupling`,
+:func:`apply_rotation` and :func:`gradient_crush` stay public, share the
+same angle formulas and passes, and return a new array without writing into
+their input.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import ATOL, apply_local, rx, ry
+from .linalg import ATOL, _apply_local_into, apply_local, rx, ry
 
 # Each symbol's 2 x 2 factor as (the nonzeros of rows 0 and 1, flip): row r
 # has its one nonzero in column r ^ flip.  I, Z, 0 and 1 are diagonal; X and Y
@@ -207,11 +216,12 @@ def build_hamiltonian(s: SpinSystem) -> np.ndarray:
     return energies
 
 
-def _phase(rho: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _phase(rho: np.ndarray, angles: np.ndarray, out=None) -> np.ndarray:
     """Conjugation by diag(exp(-i angles)): element (k, l) gains the phase
-    exp(-i (angles_k - angles_l))."""
+    exp(-i (angles_k - angles_l)).  Written into ``out``, which may be
+    ``rho``, or into a new array."""
     p = np.exp(-1j * angles)
-    out = rho * p[:, None]
+    out = np.multiply(rho, p[:, None], out=out)
     out *= p.conj()
     return out
 
@@ -286,9 +296,20 @@ def apply_rotation(rho: np.ndarray, spins, axis: str, angle: float) -> np.ndarra
     if ax == "z":
         return _phase(rho, _z_angles(_z_signs(n), spins, sign * angle))
     gate = _ROTATIONS[ax](sign * angle)
-    t = rho.reshape((2,) * (2 * n))
+    out = np.empty(rho.shape, np.result_type(rho, gate))
+    return _rotate(rho, n, spins, gate, out, np.empty_like(out))
+
+
+def _rotate(rho, n, spins, gate, out, spare):
+    """Per listed spin, ``gate`` on the row axis from the state into
+    ``spare``, then its conjugate on the column axis into ``out``: the state
+    is ``rho`` before the first spin and ``out`` after it, and ``out`` may be
+    ``rho``.  Returns the final state, ``rho`` itself if no spin is listed."""
+    shape = (2,) * (2 * n)
+    t, out, spare = rho.reshape(shape), out.reshape(shape), spare.reshape(shape)
     for spin in spins:
-        t = apply_local(apply_local(t, spin, gate), n + spin, gate.conj())
+        _apply_local_into(t, spin, gate, spare)
+        t = _apply_local_into(spare, n + spin, gate.conj(), out)
     return t.reshape(rho.shape)
 
 
@@ -306,12 +327,17 @@ def gradient_crush(rho: np.ndarray, spins) -> np.ndarray:
     operation is idempotent and trace-preserving.
     """
     rho = np.asarray(rho)
+    return rho * _crush_mask(_spin_count(rho), spins)
+
+
+def _crush_mask(n: int, spins) -> np.ndarray:
+    """True where a row and a column agree on every listed spin's bit."""
     spins = tuple(spins)
     if not spins:
         raise ValueError("gradient needs a nonempty spin subset")
-    n = _spin_count(rho, spins)
+    _check_spins(n, spins)
     key = np.arange(2**n) & np.bitwise_or.reduce([1 << _bit(n, k) for k in spins])
-    return rho * (key[:, None] == key)
+    return key[:, None] == key
 
 
 def validate_label(label: str, n: int | None = None) -> str:
@@ -374,9 +400,13 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
     An x rotation is a y rotation in the frame turned by pi/2 about z,
     ``Rx(a) = Rz(-pi/2) Ry(a) Rz(pi/2)`` on each distinct listed spin, and
     the two frame turns join the pending phase on either side.
+
+    The state lives in two buffers for the whole call, the initial state and
+    one spare: every pass writes into one of them (see the module notes).
     """
     n = s.n
     rho = pseudopure_init(validate_label(init, n))
+    spare = np.empty_like(rho)
     energies = build_hamiltonian(s)
     zs = _z_signs(n)
     pending = None  # the angles of the diagonal events not yet applied
@@ -390,8 +420,8 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
                 frame = _z_angles(zs, set(ev.spins), np.pi / 2) if ax == "x" else None
                 pending = _join(pending, frame)
                 if pending is not None:
-                    rho = _phase(rho, pending)
-                rho = apply_rotation(rho, ev.spins, "y", sign * ev.angle)
+                    _phase(rho, pending, rho)
+                _rotate(rho, n, ev.spins, ry(sign * ev.angle), rho, spare)
                 pending = None if frame is None else -frame
                 continue
         elif isinstance(ev, JCoupling):
@@ -403,12 +433,12 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
         elif isinstance(ev, Delay):
             angles = _free_angles(energies, ev.duration)
         elif isinstance(ev, Gradient):
-            rho = gradient_crush(rho, ev.spins)
+            rho *= _crush_mask(n, ev.spins)
             continue
         else:
             raise ValueError(f"unknown pulse event {ev!r}")
         pending = _join(pending, angles)
-    return rho if pending is None else _phase(rho, pending)
+    return rho if pending is None else _phase(rho, pending, rho)
 
 
 def acausality_sequence(flip: bool) -> list[PulseEvent]:

@@ -254,8 +254,9 @@ def _circuit_rows(rng, trials, dims, tol, reverse_gate) -> list[PropertyResult]:
     (photon-number) one against the oracle's designated outcome up to global
     phase, and it and every oracle outcome against probability 1/d**2."""
     chain = semantics = probability = 0.0
+    encodings = {d: _encodings_for(d) for d in dims}
     for d, c, psi in _circuit_draws(rng, trials, dims):
-        chains = [_evolution_chain(c, psi, e, reverse_gate) for e in _encodings_for(d)]
+        chains = [_evolution_chain(c, psi, e, reverse_gate) for e in encodings[d]]
         chain = max([chain] + [np.max(np.abs(legs[3][1] - legs[4][1])) for legs in chains])
         ret = chains[0][3][1]
         outcomes = _outcome_amplitudes(c, psi)
@@ -290,10 +291,11 @@ def check_encoding_independence(rng, trials, dims, tol, reverse_gate):
     """The chain output is the same vector for every carrier encoding,
     including every unit phase of the spin reversal matrix."""
     dev = 0.0
+    photon, spins = photon_number(2), [spin_half(alpha) for alpha in ALPHA_PHASES]
     for _, c, psi in _circuit_draws(rng, trials, (2,)):
-        ref = _evolution_chain(c, psi, photon_number(2), reverse_gate)[3][1]
-        for alpha in ALPHA_PHASES:
-            out = _evolution_chain(c, psi, spin_half(alpha), reverse_gate)[3][1]
+        ref = _evolution_chain(c, psi, photon, reverse_gate)[3][1]
+        for e in spins:
+            out = _evolution_chain(c, psi, e, reverse_gate)[3][1]
             dev = max(dev, np.max(np.abs(out - ref)))
     return _result("encoding_independence", trials, dev, tol)
 

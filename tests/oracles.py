@@ -2,24 +2,33 @@
 
 The outcome kernel ``circuits._outcome_amplitudes`` rolls and phases the
 input instead of building a basis, ``nmr.run_sequence`` folds its diagonal
-events into one phase pass, and ``timeflow nmr`` writes its CSV exports a
-column at a time; these explicit forms are what the tests hold them to.
+events into one phase pass and runs every pass in two buffers it owns,
+``linalg.apply_local`` writes into a given output, and ``timeflow nmr``
+writes its CSV exports a column at a time; these explicit forms are what the
+tests hold them to.
 """
 
 import csv
+import math
 
 import numpy as np
 
+from timeflow.linalg import _GEMM_INNER, _GEMM_INNER_REAL, ry
 from timeflow.nmr import (
     Delay,
     JCoupling,
     Rotation,
+    _free_angles,
+    _z_angles,
+    _z_signs,
+    _zz_angles,
     apply_jcoupling,
     apply_rotation,
     build_hamiltonian,
     evolve,
     gradient_crush,
     pseudopure_init,
+    split_axis,
 )
 from timeflow.reversal import local_dimension
 
@@ -72,6 +81,73 @@ def event_by_event(s, init, seq):
         else:
             rho = gradient_crush(rho, ev.spins)
     return rho
+
+
+def allocating_apply_local(t, axis, op):
+    """``linalg.apply_local`` as it was before it wrote into a given output:
+    the same gemm bounds and real view, each product a fresh array."""
+    t, op = np.asarray(t), np.asarray(op)
+    left = math.prod(t.shape[:axis])
+    d, *rest = t.shape[axis:]
+    right = math.prod(rest)
+    src, bound = t, _GEMM_INNER
+    real_op = not (np.iscomplexobj(op) and op.imag.any())
+    if real_op and t.dtype.kind == "c" and t.flags.c_contiguous:
+        op, src, right, bound = op.real, t.view(t.real.dtype), 2 * right, _GEMM_INNER_REAL
+    if d * right <= bound:
+        block = (op.T[:, None, :, None] * np.eye(right)[:, None]).reshape(d * right, -1)
+        out = src.reshape(left, d * right) @ block
+    else:
+        out = op @ src.reshape(left, d, right)
+    if src is not t:
+        out = out.view(np.result_type(out, 1j))
+    return out.reshape(t.shape)
+
+
+def _fresh_phase(rho, angles):
+    p = np.exp(-1j * angles)
+    out = rho * p[:, None]
+    out *= p.conj()
+    return out
+
+
+def allocating_fold(s, init, seq):
+    """``run_sequence`` as it was before it owned two state buffers: the same
+    pending phase and x frame, with every pass returning a fresh array.  The
+    arithmetic is the same, so the results must agree bit for bit."""
+    n = s.n
+    rho = pseudopure_init(init)
+    energies = build_hamiltonian(s)
+    zs = _z_signs(n)
+    pending = None
+    for ev in seq:
+        if isinstance(ev, Rotation):
+            ax, sign = split_axis(ev.axis)
+            if ax == "z":
+                angles = _z_angles(zs, ev.spins, sign * ev.angle)
+            else:
+                frame = _z_angles(zs, set(ev.spins), np.pi / 2) if ax == "x" else None
+                if frame is not None:
+                    pending = frame if pending is None else pending + frame
+                if pending is not None:
+                    rho = _fresh_phase(rho, pending)
+                gate = ry(sign * ev.angle)
+                t = rho.reshape((2,) * (2 * n))
+                for spin in ev.spins:
+                    t = allocating_apply_local(t, spin, gate)
+                    t = allocating_apply_local(t, n + spin, gate.conj())
+                rho = t.reshape(rho.shape)
+                pending = None if frame is None else -frame
+                continue
+        elif isinstance(ev, JCoupling):
+            angles = _zz_angles(zs, ev.pair, ev.angle)
+        elif isinstance(ev, Delay):
+            angles = _free_angles(energies, ev.duration)
+        else:
+            rho = gradient_crush(rho, ev.spins)
+            continue
+        pending = angles if pending is None else pending + angles
+    return rho if pending is None else _fresh_phase(rho, pending)
 
 
 def write_fid_csv(path, signal, duration, points):

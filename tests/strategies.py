@@ -62,11 +62,11 @@ def stack(circuits):
 
 
 @st.composite
-def pulse_sequences(draw, max_spins=6, max_events=8):
+def pulse_sequences(draw, min_spins=1, max_spins=6, max_events=8):
     """``(system, init, seq)``: an n-spin system with every pair coupled, an
     initial label over IXYZ01 and up to ``max_events`` events of every kind,
     with signed axes and repeated spins."""
-    n = draw(st.integers(1, max_spins))
+    n = draw(st.integers(min_spins, max_spins))
     spin = st.integers(0, n - 1)
     spins = st.lists(spin, min_size=1, max_size=3).map(tuple)
     angles = st.floats(-10.0, 10.0)

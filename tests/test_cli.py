@@ -9,7 +9,7 @@ import pytest
 
 import timeflow.circuits as circuits
 from oracles import write_fid_csv, write_spectrum_csv
-from timeflow.cli import main
+from timeflow.cli import MAX_POINTS, main
 from timeflow.formats import load_sequence, load_spin_system, vector_pairs
 from timeflow.linalg import INPUT_TOL, random_unitary
 from timeflow.nmr import fid, pauli_decompose, run_sequence, spectrum
@@ -357,6 +357,30 @@ class TestNmr:
         assert captured.out == ""
         assert f"{flag} requires --detect" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("points", [MAX_POINTS + 1, 100_000_000])
+    def test_oversized_points_rejected_before_reading_files(self, capsys, tmp_path, points):
+        # the input files do not exist, so the limit must act before they are
+        # read, and no state or FID is ever allocated
+        fid_out = tmp_path / "fid.csv"
+        code = main(
+            ["nmr", "--spin-system", str(tmp_path / "missing.spinsys"),
+             "--sequence", str(tmp_path / "missing.seq"), "--detect", "1",
+             "--duration", "1.0", "--points", str(points), "--fid-out", str(fid_out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--points {points} exceeds the limit of {MAX_POINTS}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_points_at_the_limit_accepted(self, capsys, tmp_path):
+        code = main(
+            ["nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys", "--sequence",
+             f"{CONFIGS}/flip_on.seq", "--detect", "1", "--duration", "1.0",
+             "--points", str(MAX_POINTS), "--out", str(tmp_path / "report.json")]
+        )
+        assert code == 0
 
     @pytest.mark.parametrize(
         "seq,message",

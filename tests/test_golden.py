@@ -8,9 +8,13 @@ files) are not compared, since they depend on where the checkout lives; the
 snapshots store them relative.
 
 Regenerating the snapshots changes test data; say which case changed and why
-in CHANGES.md.  To regenerate::
+in CHANGES.md.  To regenerate only the named cases, leaving every other
+snapshot as it is::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py verify-fault-small nmr-gen5
+
+Without names it rewrites every case.  An unknown name exits with code 2
+and lists the cases.
 """
 
 import csv
@@ -144,6 +148,24 @@ def test_comparison_catches_a_small_coefficient_change(tmp_path):
         assert_matches(expected, payload)
 
 
+def test_regeneration_rewrites_only_named_cases(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path / "golden")
+    assert regenerate(["acausal-psi-minus", "teleport-spin"]) == 0
+    written = sorted(p.name for p in (tmp_path / "golden").iterdir())
+    assert written == ["acausal-psi-minus.json", "teleport-spin.json"]
+    expected = json.loads((ROOT / "tests/golden/teleport-spin.json").read_text(encoding="utf-8"))
+    assert_matches(expected, json.loads((tmp_path / "golden/teleport-spin.json").read_text()))
+
+
+def test_regeneration_rejects_an_unknown_case(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path / "golden")
+    assert regenerate(["teleport-spin", "no-such-case"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown case no-such-case" in err
+    assert all(case in err for case in CASES)
+    assert not (tmp_path / "golden").exists()
+
+
 def relative_paths(report: dict, workdir: Path) -> None:
     """Store path strings relative to the checkout or the output directory,
     so that a snapshot does not depend on where it was written."""
@@ -154,19 +176,27 @@ def relative_paths(report: dict, workdir: Path) -> None:
             where[key] = path.relative_to(base).as_posix()
 
 
-def regenerate(workdir: Path) -> None:
+def regenerate(names) -> int:
+    """Rewrite the snapshots of the named cases, or of every case if none is
+    named; exit code 2, listing the cases, if a name is unknown."""
+    import tempfile
+
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown case {', '.join(unknown)}; the cases are:", file=sys.stderr)
+        print("\n".join(sorted(CASES)), file=sys.stderr)
+        return 2
     GOLDEN.mkdir(exist_ok=True)
-    for case, argv in sorted(CASES.items()):
-        code, payload = run_case(argv, workdir)
-        relative_paths(payload["report"], workdir)
-        text = json.dumps({"exit_code": code, **payload}, indent=1, sort_keys=True)
-        (GOLDEN / f"{case}.json").write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {case}.json (exit {code})")
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for case in sorted(set(names) or CASES):
+            code, payload = run_case(CASES[case], workdir)
+            relative_paths(payload["report"], workdir)
+            text = json.dumps({"exit_code": code, **payload}, indent=1, sort_keys=True)
+            (GOLDEN / f"{case}.json").write_text(text + "\n", encoding="utf-8")
+            print(f"wrote {case}.json (exit {code})")
+    return 0
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        regenerate(Path(tmp))
-    sys.exit(0)
+    sys.exit(regenerate(sys.argv[1:]))

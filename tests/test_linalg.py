@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import allocating_apply_local
 
 from timeflow.linalg import (
     SX,
     SY,
     SZ,
+    _apply_local_into,
     apply_local,
     bell_state,
     conjugate,
@@ -289,3 +291,37 @@ def test_apply_local_on_a_transposed_view(kind, axis):
     assert np.max(np.abs(apply_local(t, 1 + axis, op) - expected)) <= 1e-12 * np.max(
         np.abs(expected)
     )
+
+
+# (d, carriers, axis, kind) on both sides of each gemm bound: complex inner
+# size d * right up to 32, real-view inner size 2 * d * right up to 16.
+INTO_CASES = [
+    (2, 8, 3, "complex"),  # 32: one gemm
+    (2, 8, 2, "complex"),  # 64: stacked
+    (2, 8, 5, "real"),  # real 16: one gemm
+    (2, 8, 4, "real"),  # real 32: stacked
+    (2, 8, 5, "real as complex"),  # real 16: one gemm
+    (2, 8, 4, "real as complex"),  # real 32: stacked
+    (3, 4, 1, "complex"),  # 27: one gemm
+    (3, 4, 0, "complex"),  # 81: stacked
+    (4, 4, 3, "real"),  # real 8: one gemm
+    (4, 4, 2, "real"),  # real 32: stacked
+]
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("d,carriers,axis,kind", INTO_CASES)
+def test_apply_local_into_matches_apply_local_bitwise(d, carriers, axis, kind, transposed):
+    # a transposed input is not C-contiguous, so it keeps the complex path
+    rng = np.random.default_rng([d, carriers, axis])
+    shape = (d,) * carriers
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if transposed:
+        t = t.T
+    op = _draw_op(rng, d, kind)
+    before = t.copy()
+    out = np.full(shape, np.nan, dtype=complex)  # every element must be written
+    assert _apply_local_into(t, axis, op, out) is out
+    assert np.array_equal(out, apply_local(t, axis, op))
+    assert np.array_equal(out, allocating_apply_local(t, axis, op))
+    assert np.array_equal(t, before)

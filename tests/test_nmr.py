@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import event_by_event
+from oracles import allocating_fold, event_by_event
 from strategies import SIGNED_AXES, pulse_sequences
 
 from timeflow.circuits import Gate1, GateCircuit, run_gate_circuit
-from timeflow.linalg import PAULI, kron, random_state, random_unitary
+from timeflow.linalg import PAULI, apply_local, kron, random_state, random_unitary, ry
 from timeflow.nmr import (
     Delay,
     Gradient,
@@ -858,3 +858,49 @@ def test_run_sequence_matches_event_by_event_kernels(n, seed):
     expected = event_by_event(s, init, seq)
     assert np.max(np.abs(expected)) > 1e-3
     assert_close(run_sequence(s, init, seq), expected, tol=1e-10)
+
+
+# The two-buffer fold against the allocating fold it replaced.  Both run the
+# same products and phase multiplies, so every bit must agree.
+@settings(max_examples=40, deadline=None)
+@given(case=pulse_sequences(min_spins=3, max_spins=8, max_events=10))
+@example(case=EIGHT_SPINS)
+@example(case=(FOUR_SPINS, "XY0Z", [  # x rotations with a repeated spin, then -x
+    Delay(0.002), Rotation((3, 1, 3), "x", 0.9), Rotation((0, 2), "-x", -1.4),
+]))
+@example(case=(FOUR_SPINS, "Y1ZX", [  # a crusher between two pending phases
+    JCoupling((0, 3), 0.7), Delay(0.001), Gradient((2, 1)), Rotation((1,), "-z", 0.3),
+    Delay(0.003), Rotation((3, 3), "y", 1.1),
+]))
+@example(case=(FOUR_SPINS, "ZX1Y", [  # ends with the phase still pending
+    Rotation((2,), "-x", 0.6), JCoupling((1, 3), -1.2), Delay(0.002), Rotation((0,), "z", 2.0),
+]))
+def test_run_sequence_bitwise_equal_to_the_allocating_fold(case):
+    s, init, seq = case
+    assert np.array_equal(run_sequence(s, init, seq), allocating_fold(s, init, seq))
+
+
+# Each public kernel on a 4-spin state and the energies of FOUR_SPINS; the
+# apply_local calls take the real view (ry) and the complex path.
+KERNELS = {
+    "apply_local real": lambda rho, e: apply_local(rho.reshape((2,) * 8), 3, ry(0.7)),
+    "apply_local complex": lambda rho, e: apply_local(rho.reshape((2,) * 8), 6, X + 1j * Z),
+    "apply_rotation y": lambda rho, e: apply_rotation(rho, (0, 3, 3), "y", 0.9),
+    "apply_rotation -x": lambda rho, e: apply_rotation(rho, (2,), "-x", 1.3),
+    "apply_rotation z": lambda rho, e: apply_rotation(rho, (1, 3), "z", 0.4),
+    "evolve": lambda rho, e: evolve(rho, e, 0.002),
+    "apply_jcoupling": lambda rho, e: apply_jcoupling(rho, (1, 3), 0.6),
+    "gradient_crush": lambda rho, e: gradient_crush(rho, (0, 2)),
+    "fid": lambda rho, e: fid(FOUR_SPINS, rho, 2, 0.01, 16),
+    "pauli_decompose": lambda rho, e: pauli_decompose(rho),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_public_kernels_leave_their_input_unchanged(kernel):
+    rho = _hermitian(16, np.random.default_rng(17))
+    energies = build_hamiltonian(FOUR_SPINS)
+    before, energies_before = rho.tobytes(), energies.tobytes()
+    out = KERNELS[kernel](rho, energies)
+    assert rho.tobytes() == before and energies.tobytes() == energies_before
+    assert not (isinstance(out, np.ndarray) and np.shares_memory(out, rho))
