@@ -42,6 +42,9 @@ DEFAULT_SEED = 1234
 # Largest --points: the FID holds one complex sample per point and observed
 # line, so 2**16 points of a 10-spin state's 512 lines take 512 MiB.
 MAX_POINTS = 2**16
+# Largest --dims entry: two verify suites hold d**4 complex elements per
+# trial, 16 MiB at d = 32 and 256 MiB at d = 64.
+MAX_DIM = 32
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -61,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the randomized property suites")
     _add_common(p)
     p.add_argument("--trials", type=int, default=100, help="trials per suite")
-    p.add_argument("--dims", default="2,3", help="comma-separated carrier dimensions")
+    p.add_argument(
+        "--dims", default="2,3", help=f"comma-separated carrier dimensions (each 2 to {MAX_DIM})"
+    )
     p.add_argument(
         "--inject-fault",
         action="store_true",
@@ -130,6 +135,8 @@ def cmd_verify(args) -> int:
     dims = tuple(dims)
     if any(d < 2 for d in dims):
         raise ValueError("--dims entries must be at least 2")
+    if max(dims) > MAX_DIM:
+        raise ValueError(f"--dims entry {max(dims)} exceeds the limit of {MAX_DIM}")
     results = properties.run_all(
         seed=args.seed,
         trials=args.trials,

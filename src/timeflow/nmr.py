@@ -40,16 +40,26 @@ turns join the pending phase.  Every rotation that touches the dense state is
 then real, and :func:`linalg.apply_local`'s kernel contracts a real gate
 against the real view of the complex state.
 
-A sequence runs in two state buffers that :func:`run_sequence` owns: the
-initial state and one spare of its size.  A rotation's row pass on a spin
-writes into the spare and its column pass writes back, so the state is in
-the first buffer again after each spin; the phase flushes and the crusher's
-mask multiply in place.  No pass allocates a fresh 4**n-element array; the
-first buffer is returned as the final state, and the module keeps neither.
-The per-event kernels :func:`evolve`, :func:`apply_jcoupling`,
-:func:`apply_rotation` and :func:`gradient_crush` stay public, share the
-same angle formulas and passes, and return a new array without writing into
-their input.
+A sequence runs on the columns that can be nonzero.  A spin is pulsed when
+an x or y rotation of the sequence lists it, with either sign; a z rotation
+does not pulse it.  The free Hamiltonian, couplings, z rotations and
+crushers all commute with each spin's Z, so an unpulsed spin keeps the
+coherence order its label gave it: its column bit is its row bit, flipped
+for X and Y.  With m pulsed spins, :func:`run_sequence` keeps a (2**n, 2**m)
+state whose columns hold only the pulsed spins' bits, and one index array of
+each element's full column, built once; when every spin is pulsed the
+columns are the basis states and the phases broadcast as on a dense state.
+The state and one spare of its size are the call's two buffers.  A
+rotation's row pass on a spin writes into the spare and its column pass, on
+the axis of that spin's column bit, writes back, so the state is in the
+first buffer again after each spin; the phase flushes multiply the rows in
+place and the columns through the index array, and a crusher zeroes the
+elements whose row and full column differ on a crushed spin's bit.  The
+result is always the dense 2**n x 2**n matrix: the state itself when every
+spin is pulsed, else the state scattered into a zero matrix.  The per-event
+kernels :func:`evolve`, :func:`apply_jcoupling`, :func:`apply_rotation` and
+:func:`gradient_crush` stay public, share the same angle formulas and passes
+on the dense state, and return a new array without writing into their input.
 """
 
 from __future__ import annotations
@@ -216,13 +226,15 @@ def build_hamiltonian(s: SpinSystem) -> np.ndarray:
     return energies
 
 
-def _phase(rho: np.ndarray, angles: np.ndarray, out=None) -> np.ndarray:
+def _phase(rho: np.ndarray, angles: np.ndarray, out=None, col=slice(None)) -> np.ndarray:
     """Conjugation by diag(exp(-i angles)): element (k, l) gains the phase
     exp(-i (angles_k - angles_l)).  Written into ``out``, which may be
-    ``rho``, or into a new array."""
+    ``rho``, or into a new array.  ``col`` picks each element's column
+    phase: by default the columns are the basis states, and a reduced state
+    passes its full column indices (see :func:`run_sequence`)."""
     p = np.exp(-1j * angles)
     out = np.multiply(rho, p[:, None], out=out)
-    out *= p.conj()
+    out *= p.conj()[col]
     return out
 
 
@@ -297,19 +309,21 @@ def apply_rotation(rho: np.ndarray, spins, axis: str, angle: float) -> np.ndarra
         return _phase(rho, _z_angles(_z_signs(n), spins, sign * angle))
     gate = _ROTATIONS[ax](sign * angle)
     out = np.empty(rho.shape, np.result_type(rho, gate))
-    return _rotate(rho, n, spins, gate, out, np.empty_like(out))
+    return _rotate(rho, n, range(n), spins, gate, out, np.empty_like(out))
 
 
-def _rotate(rho, n, spins, gate, out, spare):
+def _rotate(rho, n, pulsed, spins, gate, out, spare):
     """Per listed spin, ``gate`` on the row axis from the state into
     ``spare``, then its conjugate on the column axis into ``out``: the state
     is ``rho`` before the first spin and ``out`` after it, and ``out`` may be
-    ``rho``.  Returns the final state, ``rho`` itself if no spin is listed."""
-    shape = (2,) * (2 * n)
+    ``rho``.  ``rho`` is a (2**n, 2**m) state whose columns hold the bits of
+    the m ``pulsed`` spins, in order; every listed spin must be one of them.
+    Returns the final state, ``rho`` itself if no spin is listed."""
+    shape = (2,) * (n + len(pulsed))
     t, out, spare = rho.reshape(shape), out.reshape(shape), spare.reshape(shape)
     for spin in spins:
         _apply_local_into(t, spin, gate, spare)
-        t = _apply_local_into(spare, n + spin, gate.conj(), out)
+        t = _apply_local_into(spare, n + pulsed.index(spin), gate.conj(), out)
     return t.reshape(rho.shape)
 
 
@@ -327,17 +341,22 @@ def gradient_crush(rho: np.ndarray, spins) -> np.ndarray:
     operation is idempotent and trace-preserving.
     """
     rho = np.asarray(rho)
-    return rho * _crush_mask(_spin_count(rho), spins)
+    n = _spin_count(rho)
+    return _crush(rho.copy(), n, np.arange(2**n), spins)
 
 
-def _crush_mask(n: int, spins) -> np.ndarray:
-    """True where a row and a column agree on every listed spin's bit."""
+def _crush(rho, n, col, spins):
+    """Zero, in place, every element whose row and column differ on a listed
+    spin's bit, and return ``rho``.  ``col`` holds each element's full
+    column index, or one per column when every element of a column has the
+    same one."""
     spins = tuple(spins)
     if not spins:
         raise ValueError("gradient needs a nonempty spin subset")
     _check_spins(n, spins)
-    key = np.arange(2**n) & np.bitwise_or.reduce([1 << _bit(n, k) for k in spins])
-    return key[:, None] == key
+    key = sum(1 << _bit(n, k) for k in set(spins))
+    np.putmask(rho, (np.arange(2**n) & key)[:, None] != (col & key), 0)
+    return rho
 
 
 def validate_label(label: str, n: int | None = None) -> str:
@@ -355,13 +374,19 @@ def pseudopure_init(label: str) -> np.ndarray:
     label = validate_label(label)
     if not label:
         raise ValueError("empty label")
-    rows, flips = zip(*(_SYMBOL_FACTORS[ch] for ch in label))
-    vals = reduce(np.multiply.outer, np.array(rows, dtype=complex)).ravel()  # kron of the rows
-    flip = int("".join(map(str, flips)), 2)
+    vals, flip = _expand_label(label)
     idx = np.arange(len(vals))
     out = np.zeros((len(vals), len(vals)), dtype=complex)
     out[idx, idx ^ flip] = vals
     return out
+
+
+def _expand_label(label: str) -> tuple[np.ndarray, int]:
+    """A valid label's deviation as (vals, flip): row r holds its one nonzero
+    ``vals[r]`` in column ``r ^ flip``."""
+    rows, flips = zip(*(_SYMBOL_FACTORS[ch] for ch in label))
+    vals = reduce(np.multiply.outer, np.array(rows, dtype=complex)).ravel()  # kron of the rows
+    return vals, int("".join(map(str, flips)), 2)
 
 
 def pauli_decompose(rho: np.ndarray, tol: float = ATOL) -> list[tuple[str, float]]:
@@ -401,11 +426,25 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
     ``Rx(a) = Rz(-pi/2) Ry(a) Rz(pi/2)`` on each distinct listed spin, and
     the two frame turns join the pending phase on either side.
 
-    The state lives in two buffers for the whole call, the initial state and
-    one spare: every pass writes into one of them (see the module notes).
+    The fold runs on the columns that can be nonzero: a spin that no x or y
+    rotation lists keeps the column bit its label gave it, so the state is a
+    (2**n, 2**m) array over the m pulsed spins' column bits, in two buffers
+    for the whole call (see the module notes).  The result is the dense
+    2**n x 2**n deviation matrix.
     """
     n = s.n
-    rho = pseudopure_init(validate_label(init, n))
+    vals, flip = _expand_label(validate_label(init, n))
+    seq = tuple(seq)
+    pulsed = _pulsed_spins(n, seq)
+    mask = sum(1 << _bit(n, k) for k in pulsed)
+    rows = np.arange(2**n)
+    # reduced column c holds the pulsed spins' bits of full column cols[c]
+    cols = rows[(rows & ~mask) == 0]
+    # the full column of each element: the pulsed spins' bits from its
+    # reduced column, the others its row's, flipped by the label
+    col = cols if len(pulsed) == n else ((rows ^ flip) & ~mask)[:, None] | cols
+    rho = np.zeros((2**n, len(cols)), dtype=complex)
+    rho[rows, np.searchsorted(cols, (rows ^ flip) & mask)] = vals
     spare = np.empty_like(rho)
     energies = build_hamiltonian(s)
     zs = _z_signs(n)
@@ -420,8 +459,8 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
                 frame = _z_angles(zs, set(ev.spins), np.pi / 2) if ax == "x" else None
                 pending = _join(pending, frame)
                 if pending is not None:
-                    _phase(rho, pending, rho)
-                _rotate(rho, n, ev.spins, ry(sign * ev.angle), rho, spare)
+                    _phase(rho, pending, rho, col)
+                _rotate(rho, n, pulsed, ev.spins, ry(sign * ev.angle), rho, spare)
                 pending = None if frame is None else -frame
                 continue
         elif isinstance(ev, JCoupling):
@@ -433,12 +472,34 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
         elif isinstance(ev, Delay):
             angles = _free_angles(energies, ev.duration)
         elif isinstance(ev, Gradient):
-            rho *= _crush_mask(n, ev.spins)
+            _crush(rho, n, col, ev.spins)
             continue
         else:
             raise ValueError(f"unknown pulse event {ev!r}")
         pending = _join(pending, angles)
-    return rho if pending is None else _phase(rho, pending, rho)
+    if pending is not None:
+        _phase(rho, pending, rho, col)
+    if len(pulsed) == n:
+        return rho
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    out[rows[:, None], col] = rho
+    return out
+
+
+def _pulsed_spins(n: int, seq) -> tuple[int, ...]:
+    """The distinct spins that an x or y rotation in ``seq`` lists, in
+    order.  Events the fold will reject are skipped, never raised on, so
+    that the fold still reports the first faulty event."""
+    pulsed = set()
+    for ev in seq:
+        if isinstance(ev, Rotation) and isinstance(ev.axis, str):
+            try:
+                ax, _ = split_axis(ev.axis)
+            except ValueError:
+                continue
+            if ax != "z":
+                pulsed.update(k for k in ev.spins if k in range(n))
+    return tuple(sorted(pulsed))
 
 
 def acausality_sequence(flip: bool) -> list[PulseEvent]:

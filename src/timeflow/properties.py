@@ -220,8 +220,9 @@ def check_conjugation_sign(rng, trials, dims, tol, reverse_gate):
     """The reversal unitary's conjugation sign squares to one, exactly."""
     dev = 0.0
     count = 0
+    photons = (photon_number(2), photon_number(3))
     for alpha in ALPHA_PHASES:
-        for e in (spin_half(alpha), photon_number(2), photon_number(3)):
+        for e in (spin_half(alpha), *photons):
             count += 1
             g = conjugation_sign(e.matrix)
             dev = max(dev, abs(g * g - 1), abs(g - e.sign))

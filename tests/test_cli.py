@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import timeflow.circuits as circuits
+import timeflow.properties as properties
 from oracles import write_fid_csv, write_spectrum_csv
-from timeflow.cli import MAX_POINTS, main
+from timeflow.cli import MAX_DIM, MAX_POINTS, main
 from timeflow.formats import load_sequence, load_spin_system, vector_pairs
 from timeflow.linalg import INPUT_TOL, random_unitary
 from timeflow.nmr import fid, pauli_decompose, run_sequence, spectrum
@@ -59,6 +60,23 @@ class TestVerify:
         code = main(["verify", "--dims", "2,x"])
         assert code == 2
         assert "--dims entry 'x' is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ["100000", "2,300", f"3,{MAX_DIM + 1},2"])
+    def test_oversized_dims_entry_rejected_before_drawing(self, capsys, monkeypatch, dims):
+        # the suites are replaced, so nothing is drawn or allocated either way
+        monkeypatch.setattr(properties, "run_all", lambda **_: pytest.fail("suites ran"))
+        code = main(["verify", "--dims", dims, "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        entry = max(int(d) for d in dims.split(","))
+        assert f"--dims entry {entry} exceeds the limit of {MAX_DIM}" in captured.err
+
+    def test_dims_at_the_limit_reach_the_suites(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(properties, "run_all", lambda **kw: seen.append(kw["dims"]) or [])
+        assert main(["verify", "--dims", f"2,{MAX_DIM}", "--trials", "1"]) == 0
+        assert seen == [(2, MAX_DIM)]
 
     def test_deterministic_payload(self, capsys):
         _, first = run_cli(capsys, "verify", "--trials", "10", "--seed", "3")

@@ -452,6 +452,20 @@ class TestRunSequence:
         with pytest.raises(ValueError, match=message):
             run_sequence(two_spin(), "XY", seq)
 
+    @pytest.mark.parametrize(
+        "seq,message",
+        [
+            ([Rotation((7,), "y", 0.1), Rotation((0,), "w", 0.2)], "spin index 7 out of range"),
+            ([Rotation((0,), "w", 0.2), Rotation((7,), "y", 0.1)], "invalid axis 'w'"),
+            ([Gradient((5,)), Rotation((0, 9), "--x", 0.3)], "spin index 5 out of range"),
+        ],
+    )
+    def test_first_faulty_event_wins_over_the_pulsed_scan(self, seq, message):
+        # the scan for pulsed spins runs before the fold and skips what the
+        # fold will reject, so the error still names the first faulty event
+        with pytest.raises(ValueError, match=message):
+            run_sequence(FOUR_SPINS, "XY0Z", seq)
+
     def test_non_finite_generator_rejected_at_a_delay(self):
         s = SpinSystem((1e308,), np.zeros((1, 1)))  # pi * 1e308 overflows
         assert run_sequence(s, "X", [Rotation((0,), "z", 0.5)]).shape == (2, 2)
@@ -860,8 +874,15 @@ def test_run_sequence_matches_event_by_event_kernels(n, seed):
     assert_close(run_sequence(s, init, seq), expected, tol=1e-10)
 
 
-# The two-buffer fold against the allocating fold it replaced.  Both run the
-# same products and phase multiplies, so every bit must agree.
+TEN_SPINS = SpinSystem.from_couplings(
+    [-450.0 + 100.0 * k for k in range(10)],
+    {(a, b): 3.0 + 7.0 * a - 2.0 * b for a in range(10) for b in range(a)},
+)
+
+
+# The fold on the columns that can be nonzero against the dense allocating
+# fold it replaced.  Both run the same products and phase multiplies on every
+# element that can be nonzero, so every bit must agree.
 @settings(max_examples=40, deadline=None)
 @given(case=pulse_sequences(min_spins=3, max_spins=8, max_events=10))
 @example(case=EIGHT_SPINS)
@@ -874,6 +895,23 @@ def test_run_sequence_matches_event_by_event_kernels(n, seed):
 ]))
 @example(case=(FOUR_SPINS, "ZX1Y", [  # ends with the phase still pending
     Rotation((2,), "-x", 0.6), JCoupling((1, 3), -1.2), Delay(0.002), Rotation((0,), "z", 2.0),
+]))
+@example(case=(FOUR_SPINS, "XY0Z", [  # no x or y pulse: m = 0
+    Delay(0.002), JCoupling((0, 1), 0.5), Rotation((2, 3), "-z", 0.3), Gradient((2,)),
+    Delay(0.001),
+]))
+@example(case=(TEN_SPINS, "X0YZI1ZX0Y", [  # n = 10 with one pulsed spin
+    Delay(0.001), Rotation((4,), "x", 0.7), JCoupling((4, 9), 1.1), Delay(0.002),
+    Rotation((4,), "-y", -1.9), Rotation((0, 8), "z", 0.4), Gradient((1, 4)),
+]))
+@example(case=(FOUR_SPINS, "XY0Z", [  # a crusher on an unpulsed X spin zeroes all
+    Rotation((2,), "y", 0.4), Delay(0.001), Gradient((0, 2)),
+]))
+@example(case=(FOUR_SPINS, "XY0Z", [  # a crusher on an unpulsed diagonal spin is a no-op
+    Rotation((1,), "y", 0.4), Delay(0.001), Gradient((3,)), Rotation((1,), "x", 1.2),
+]))
+@example(case=(FOUR_SPINS, "IXZ0", [  # an x rotation with a repeated spin, m = 1
+    Delay(0.003), Rotation((1, 1), "x", 0.6), JCoupling((1, 2), 0.8), Delay(0.001),
 ]))
 def test_run_sequence_bitwise_equal_to_the_allocating_fold(case):
     s, init, seq = case
