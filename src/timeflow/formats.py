@@ -25,7 +25,7 @@ import re
 import numpy as np
 
 from .linalg import HADAMARD, ID2, INPUT_TOL, PAULI, SGATE, basis_state, bell_state, rx, ry, rz
-from .nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem, split_axis
+from .nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem
 from .reversal import canonical_pair, photon_number
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d*)?))?$")
@@ -105,14 +105,13 @@ def parse_spin_system(text: str) -> SpinSystem:
         raise ValueError("spin-system file: missing 'spins' line")
     if larmor is None or len(larmor) != spins:
         raise ValueError(f"spin-system file: need exactly {spins} larmor values")
+    by_index = {}  # the couplings by 0-based pair
     for pair, lineno in lines.items():
-        for spin in pair:
-            if not 1 <= spin <= spins:
-                raise ValueError(
-                    f"spin-system file line {lineno}: coupling spin {spin} out of range:"
-                    f" spins are 1 to {spins}"
-                )
-    return SpinSystem.from_couplings(larmor, {(a - 1, b - 1): v for (a, b), v in couplings.items()})
+        try:
+            by_index[_parse_spins(pair, spins)] = couplings[pair]
+        except ValueError as exc:
+            raise ValueError(f"spin-system file line {lineno}: coupling {exc}") from None
+    return SpinSystem.from_couplings(larmor, by_index)
 
 
 def load_spin_system(path) -> SpinSystem:
@@ -120,35 +119,35 @@ def load_spin_system(path) -> SpinSystem:
         return parse_spin_system(fh.read())
 
 
-def _parse_spins(tokens) -> tuple[int, ...]:
-    spins = tuple(int(v) - 1 for v in tokens)
-    if any(s < 0 for s in spins):
-        raise ValueError("spin numbers are 1-based")
-    return spins
+def _parse_spins(tokens, n: int) -> tuple[int, ...]:
+    """0-based indices of 1-based spin numbers, each between 1 and ``n``."""
+    spins = tuple(int(v) for v in tokens)
+    for spin in spins:
+        if not 1 <= spin <= n:
+            raise ValueError(f"spin {spin} out of range: spins are 1 to {n}")
+    return tuple(spin - 1 for spin in spins)
 
 
-def parse_sequence(text: str) -> list:
-    """Parse the line-based pulse-sequence format into event objects."""
+def parse_sequence(text: str, system: SpinSystem) -> list:
+    """Parse the line-based pulse-sequence format into event objects whose
+    spins exist in ``system`` and whose coupled pairs have a nonzero J."""
     events = []
     for lineno, line in _content_lines(text):
         fields = line.split()
         kind = fields[0].lower()
         try:
             if kind == "rotation":
-                spins = _parse_spins(fields[1].split(","))
-                axis = fields[2].lower()
-                split_axis(axis)
-                angle = parse_angle(fields[3])
-                events.append(Rotation(spins, axis, angle))
+                spins = _parse_spins(fields[1].split(","), system.n)
+                events.append(Rotation(spins, fields[2].lower(), parse_angle(fields[3])))
             elif kind == "jcoupling":
-                pair = _parse_spins((fields[1], fields[2]))
-                if pair[0] == pair[1]:
-                    raise ValueError("jcoupling needs two distinct spins")
+                pair = _parse_spins((fields[1], fields[2]), system.n)
                 events.append(JCoupling(pair, parse_angle(fields[3])))
+                if system.j[pair] == 0.0:
+                    raise ValueError(f"spins {pair[0] + 1} and {pair[1] + 1} have no J coupling")
             elif kind == "delay":
                 events.append(Delay(finite_float(fields[1])))
             elif kind == "gradient":
-                events.append(Gradient(_parse_spins(fields[1].split(","))))
+                events.append(Gradient(_parse_spins(fields[1].split(","), system.n)))
             else:
                 raise ValueError(f"unknown event kind {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -156,9 +155,9 @@ def parse_sequence(text: str) -> list:
     return events
 
 
-def load_sequence(path) -> list:
+def load_sequence(path, system: SpinSystem) -> list:
     with open(path, encoding="utf-8") as fh:
-        return parse_sequence(fh.read())
+        return parse_sequence(fh.read(), system)
 
 
 _GATE_RE = re.compile(r"^(RX|RY|RZ)\(([^)]+)\)$")

@@ -60,6 +60,9 @@ spin is pulsed, else the state scattered into a zero matrix.  The per-event
 kernels :func:`evolve`, :func:`apply_jcoupling`, :func:`apply_rotation` and
 :func:`gradient_crush` stay public, share the same angle formulas and passes
 on the dense state, and return a new array without writing into their input.
+
+Events check themselves when built, and the kernels build one from their
+arguments; :func:`run_sequence` checks the events against the system first.
 """
 
 from __future__ import annotations
@@ -145,6 +148,7 @@ class Rotation:
     angle: float
 
     def __post_init__(self):
+        split_axis(self.axis)
         _check_finite("rotation angle", self.angle)
 
 
@@ -156,6 +160,8 @@ class JCoupling:
     angle: float
 
     def __post_init__(self):
+        if len(self.pair) != 2 or self.pair[0] == self.pair[1]:
+            raise ValueError("coupling needs two distinct spins")
         _check_finite("coupling angle", self.angle)
 
 
@@ -175,6 +181,10 @@ class Gradient:
 
     spins: tuple[int, ...]
 
+    def __post_init__(self):
+        if len(self.spins) == 0:
+            raise ValueError("gradient needs a nonempty spin subset")
+
 
 PulseEvent = Rotation | JCoupling | Delay | Gradient
 
@@ -188,6 +198,11 @@ def _bit(n: int, spin):
     """Position of a spin's bit in a basis-state index; spin 0 is the most
     significant of the n bits."""
     return n - 1 - spin
+
+
+def _spin_mask(n: int, spins) -> int:
+    """The basis-state bits of the listed spins, set in one integer."""
+    return sum(1 << _bit(n, k) for k in set(spins))
 
 
 def _z_signs(n: int) -> np.ndarray:
@@ -253,8 +268,6 @@ def _free_angles(energies: np.ndarray, t: float) -> np.ndarray:
 def _zz_angles(zs: np.ndarray, pair, angle: float) -> np.ndarray:
     """exp(-i angle/2 Z_i Z_j), from the rows of :func:`_z_signs`."""
     i, jx = pair
-    if i == jx:
-        raise ValueError("coupling needs two distinct spins")
     return (angle / 2) * zs[i] * zs[jx]
 
 
@@ -288,7 +301,7 @@ def evolve(rho: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
 def split_axis(axis: str) -> tuple[str, float]:
     """The letter and rotation sense of an axis: x, y or z in either case,
     optionally prefixed with one + or -."""
-    ax = axis.lower()
+    ax = axis.lower() if isinstance(axis, str) else ""
     letter = ax[1:] if ax.startswith(("-", "+")) else ax
     if letter not in AXES:
         raise ValueError(f"invalid axis {axis!r}")
@@ -302,14 +315,15 @@ def apply_rotation(rho: np.ndarray, spins, axis: str, angle: float) -> np.ndarra
     column axis, so no full-size unitary is formed.  A z rotation is diagonal:
     one phase pass for all the listed spins.
     """
-    ax, sign = split_axis(axis)
+    ev = Rotation(spins, axis, angle)
+    ax, sign = split_axis(ev.axis)
     rho = np.asarray(rho)
-    n = _spin_count(rho, spins)
+    n = _spin_count(rho, ev.spins)
     if ax == "z":
-        return _phase(rho, _z_angles(_z_signs(n), spins, sign * angle))
-    gate = _ROTATIONS[ax](sign * angle)
+        return _phase(rho, _z_angles(_z_signs(n), ev.spins, sign * ev.angle))
+    gate = _ROTATIONS[ax](sign * ev.angle)
     out = np.empty(rho.shape, np.result_type(rho, gate))
-    return _rotate(rho, n, range(n), spins, gate, out, np.empty_like(out))
+    return _rotate(rho, n, range(n), ev.spins, gate, out, np.empty_like(out))
 
 
 def _rotate(rho, n, pulsed, spins, gate, out, spare):
@@ -329,9 +343,10 @@ def _rotate(rho, n, pulsed, spins, gate, out, spare):
 
 def apply_jcoupling(rho: np.ndarray, pair, angle: float) -> np.ndarray:
     """Pure ZZ phase evolution exp(-i angle/2 Z_i Z_j) on a spin pair."""
+    ev = JCoupling(pair, angle)
     rho = np.asarray(rho)
-    n = _spin_count(rho, pair)
-    return _phase(rho, _zz_angles(_z_signs(n), pair, angle))
+    n = _spin_count(rho, ev.pair)
+    return _phase(rho, _zz_angles(_z_signs(n), ev.pair, ev.angle))
 
 
 def gradient_crush(rho: np.ndarray, spins) -> np.ndarray:
@@ -340,9 +355,10 @@ def gradient_crush(rho: np.ndarray, spins) -> np.ndarray:
     A full crusher acts as a projective measurement without record; the
     operation is idempotent and trace-preserving.
     """
+    ev = Gradient(spins)
     rho = np.asarray(rho)
-    n = _spin_count(rho)
-    return _crush(rho.copy(), n, np.arange(2**n), spins)
+    n = _spin_count(rho, ev.spins)
+    return _crush(rho.copy(), n, np.arange(2**n), ev.spins)
 
 
 def _crush(rho, n, col, spins):
@@ -350,11 +366,7 @@ def _crush(rho, n, col, spins):
     spin's bit, and return ``rho``.  ``col`` holds each element's full
     column index, or one per column when every element of a column has the
     same one."""
-    spins = tuple(spins)
-    if not spins:
-        raise ValueError("gradient needs a nonempty spin subset")
-    _check_spins(n, spins)
-    key = sum(1 << _bit(n, k) for k in set(spins))
+    key = _spin_mask(n, spins)
     np.putmask(rho, (np.arange(2**n) & key)[:, None] != (col & key), 0)
     return rho
 
@@ -435,8 +447,8 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
     n = s.n
     vals, flip = _expand_label(validate_label(init, n))
     seq = tuple(seq)
-    pulsed = _pulsed_spins(n, seq)
-    mask = sum(1 << _bit(n, k) for k in pulsed)
+    pulsed = _check_sequence(s, seq)
+    mask = _spin_mask(n, pulsed)
     rows = np.arange(2**n)
     # reduced column c holds the pulsed spins' bits of full column cols[c]
     cols = rows[(rows & ~mask) == 0]
@@ -452,7 +464,6 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
     for ev in seq:
         if isinstance(ev, Rotation):
             ax, sign = split_axis(ev.axis)
-            _check_spins(n, ev.spins)
             if ax == "z":
                 angles = _z_angles(zs, ev.spins, sign * ev.angle)
             else:
@@ -464,18 +475,12 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
                 pending = None if frame is None else -frame
                 continue
         elif isinstance(ev, JCoupling):
-            _check_spins(n, ev.pair)
-            i, jx = ev.pair
-            if s.j[i, jx] == 0.0:
-                raise ValueError(f"spins {i} and {jx} have no J coupling")
             angles = _zz_angles(zs, ev.pair, ev.angle)
         elif isinstance(ev, Delay):
             angles = _free_angles(energies, ev.duration)
-        elif isinstance(ev, Gradient):
+        else:
             _crush(rho, n, col, ev.spins)
             continue
-        else:
-            raise ValueError(f"unknown pulse event {ev!r}")
         pending = _join(pending, angles)
     if pending is not None:
         _phase(rho, pending, rho, col)
@@ -486,19 +491,22 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
     return out
 
 
-def _pulsed_spins(n: int, seq) -> tuple[int, ...]:
-    """The distinct spins that an x or y rotation in ``seq`` lists, in
-    order.  Events the fold will reject are skipped, never raised on, so
-    that the fold still reports the first faulty event."""
+def _check_sequence(s: SpinSystem, seq) -> tuple[int, ...]:
+    """Check the events of ``seq`` against the spin system, in order, and
+    return the distinct spins that an x or y rotation lists, sorted."""
     pulsed = set()
     for ev in seq:
-        if isinstance(ev, Rotation) and isinstance(ev.axis, str):
-            try:
-                ax, _ = split_axis(ev.axis)
-            except ValueError:
-                continue
-            if ax != "z":
-                pulsed.update(k for k in ev.spins if k in range(n))
+        if isinstance(ev, (Rotation, Gradient)):
+            _check_spins(s.n, ev.spins)
+            if isinstance(ev, Rotation) and split_axis(ev.axis)[0] != "z":
+                pulsed.update(ev.spins)
+        elif isinstance(ev, JCoupling):
+            _check_spins(s.n, ev.pair)
+            i, jx = ev.pair
+            if s.j[i, jx] == 0.0:
+                raise ValueError(f"spins {i} and {jx} have no J coupling")
+        elif not isinstance(ev, Delay):
+            raise ValueError(f"unknown pulse event {ev!r}")
     return tuple(sorted(pulsed))
 
 
@@ -568,7 +576,7 @@ def fid(
     energies = build_hamiltonian(s)
     # X_d + i Y_d = 2 |0><1| on the detected spin, so the detector sees
     # 2 rho0[r, r ^ mask] for each row r with that spin's bit set.
-    mask = 1 << _bit(n, detect)
+    mask = _spin_mask(n, (detect,))
     rows = np.flatnonzero(np.arange(2**n) & mask)
     seen = 2 * rho0[rows, rows ^ mask]
     if not np.all(np.isfinite(seen)):

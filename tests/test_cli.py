@@ -332,7 +332,7 @@ class TestNmr:
 
             # Byte for byte what a row-by-row csv.writer writes for the same arrays.
             system = load_spin_system(spinsys)
-            rho = run_sequence(system, initial, load_sequence(seq))
+            rho = run_sequence(system, initial, load_sequence(seq, system))
             signal = fid(system, rho, detect - 1, duration, points)
             write_fid_csv(tmp_path / "fid-ref.csv", signal, duration, points)
             write_spectrum_csv(tmp_path / "spec-ref.csv", spectrum(signal, duration / points, 1.0))
@@ -407,10 +407,10 @@ class TestNmr:
             ("rotation 2 y pi/2\ndelay inf\n", "line 2: number 'inf' is not finite"),
             (
                 "# C9 does not exist\ndelay 0.1\nrotation 1,9 y pi/2\n",
-                "event 2 (rotation): spin 9 is out of range for a 4-spin system",
+                "line 3: spin 9 out of range: spins are 1 to 4",
             ),
-            ("jcoupling 9 1 pi/2\n", "event 1 (jcoupling): spin 9 is out of range"),
-            ("gradient 1,5\n", "event 1 (gradient): spin 5 is out of range for a 4-spin system"),
+            ("jcoupling 9 1 pi/2\n", "line 1: spin 9 out of range: spins are 1 to 4"),
+            ("gradient 1,5\n", "line 1: spin 5 out of range: spins are 1 to 4"),
         ],
     )
     def test_bad_sequence_is_input_error_with_line(self, capsys, tmp_path, seq, message):
@@ -432,6 +432,17 @@ class TestNmr:
         assert code == 2
         assert "spin-system file line 3" in capsys.readouterr().err
 
+    def test_uncoupled_pair_names_the_line_and_the_file_spins(self, capsys, tmp_path):
+        system = tmp_path / "chain.spinsys"
+        system.write_text("spins 4\nlarmor 0 1 2 3\nj 1 2 40\nj 2 3 65\nj 3 4 70\n")
+        seq = tmp_path / "uncoupled.seq"
+        seq.write_text("# C1 and C4 share no J\nrotation 1 y pi/2\njcoupling 1 4 pi/2\n")
+        code = main(["nmr", "--spin-system", str(system), "--sequence", str(seq)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: sequence file line 3: spins 1 and 4 have no J coupling\n"
+
     def test_parse_error_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.seq"
         path.write_text("rotation 1 q pi/2\n")
@@ -450,7 +461,7 @@ class TestNmr:
     "argv",
     [
         ["verify", "--tol", "nan"],
-        ["acausal", "--tol", "inf"],
+        ["teleport", "--circuit", "c", "--tol", "inf"],
         ["nmr", "--spin-system", "s", "--sequence", "q", "--duration", "nan"],
         ["nmr", "--spin-system", "s", "--sequence", "q", "--broadening=-inf"],
     ],
@@ -479,9 +490,6 @@ def test_negative_broadening_is_input_error(capsys, tmp_path):
     [
         ["verify", "--trials", "1"],
         ["teleport", "--circuit", f"{CONFIGS}/teleport_identity.json"],
-        ["acausal"],
-        ["nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys",
-         "--sequence", f"{CONFIGS}/flip_on.seq"],
     ],
 )
 @pytest.mark.parametrize("tol", ["-1", "-1e-300"])
@@ -494,9 +502,29 @@ def test_negative_tolerance_is_input_error(capsys, argv, tol):
 
 
 def test_zero_tolerance_accepted(capsys):
-    code, report = run_json(capsys, "acausal", "--tol", "0")
-    assert code == 0
+    code, report = run_json(
+        capsys, "teleport", "--circuit", f"{CONFIGS}/teleport_identity.json", "--tol", "0"
+    )
+    assert code in (0, 1)  # a verdict at zero tolerance, not an input error
     assert report["config"]["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["acausal"],
+        ["nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys",
+         "--sequence", f"{CONFIGS}/flip_on.seq"],
+    ],
+    ids=["acausal", "nmr"],
+)
+def test_commands_that_compare_nothing_take_no_tolerance(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == 0 and "tolerance" not in report["config"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
 def test_overflowing_broadening_is_input_error(capsys, tmp_path):
@@ -574,7 +602,7 @@ class TestCsvFormat:
         argv = ["nmr", "--spin-system", f"{GOLDEN}/gen5.spinsys",
                 "--sequence", f"{GOLDEN}/gen5.seq", "--initial", "X0Y1Z"]
         system = load_spin_system(GOLDEN / "gen5.spinsys")
-        rho = run_sequence(system, "X0Y1Z", load_sequence(GOLDEN / "gen5.seq"))
+        rho = run_sequence(system, "X0Y1Z", load_sequence(GOLDEN / "gen5.seq", system))
         terms = pauli_decompose(rho, tol=INPUT_TOL)
         code, out = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0

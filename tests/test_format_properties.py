@@ -3,15 +3,22 @@
 Every input either parses to finite, validated objects or raises
 ``ValueError`` (which the CLI maps to exit 2); no other exception may escape.
 Each strategy builds a valid input and, half the time, corrupts one token or
-field of it, so that both outcomes are common.
+field of it, so that both outcomes are common.  A sequence file with one
+faulty line must make ``timeflow nmr`` exit 2 with that line's number.
 """
 
+import io
 import math
+import re
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timeflow.cli import main
 from timeflow.formats import parse_circuit, parse_sequence, parse_spin_system
 from timeflow.linalg import INPUT_TOL
 from timeflow.nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem
@@ -20,6 +27,10 @@ PARSERS = settings(max_examples=60, deadline=None)
 
 FINITE = st.integers(-5000, 5000).map(str) | st.floats(-1e4, 1e4).map(repr)
 ANGLES = FINITE | st.sampled_from(["pi", "-pi", "pi/2", "3pi/4", "0.5pi", "-3pi/2"])
+# Every pair coupled, so that any two distinct spins of 1 to 4 may couple.
+FOUR_COUPLED = SpinSystem.from_couplings(
+    [0.0, 100.0, 200.0, 300.0], {(a, b): 10.0 for a in range(4) for b in range(a)}
+)
 SPINLISTS = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
     lambda v: ",".join(map(str, v))
 )
@@ -93,7 +104,7 @@ def test_spin_system_parser_validates_or_raises_value_error(text):
 @PARSERS
 @given(st.lists(EVENTS, max_size=5).flatmap(_corrupted))
 def test_sequence_parser_validates_or_raises_value_error(text):
-    events = _parsed(parse_sequence, text)
+    events = _parsed(lambda t: parse_sequence(t, FOUR_COUPLED), text)
     if events is None:
         return
     for ev in events:
@@ -107,7 +118,69 @@ def test_sequence_parser_validates_or_raises_value_error(text):
             assert math.isfinite(ev.duration)
         else:
             assert isinstance(ev, Gradient)
-        assert all(s >= 0 for s in getattr(ev, "spins", getattr(ev, "pair", ())))
+        assert all(0 <= s < 4 for s in getattr(ev, "spins", getattr(ev, "pair", ())))
+
+
+@st.composite
+def faulty_sequence_files(draw):
+    """``(spin_system_text, sequence_text, line, numbers)``: a spin system
+    of 2 to 5 spins and a sequence file valid for it, with comment and blank
+    lines, but for one event line replaced by a faulty one.  ``line`` is the
+    faulty line's 1-based number, and ``numbers`` are the spin numbers, as
+    the file writes them, that its error message must name."""
+    n = draw(st.integers(2, 5))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    uncoupled = draw(st.sampled_from(pairs))
+    coupled = [p for p in pairs if p != uncoupled and draw(st.booleans())]
+    spins = st.integers(1, n)
+    spinlists = st.lists(spins, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v)))
+    valid = [
+        st.tuples(spinlists, st.sampled_from(["x", "-y", "Z", "+z"])).map(
+            lambda t: f"rotation {t[0]} {t[1]} pi/2"
+        ),
+        st.just("delay 0.001"),
+        spinlists.map("gradient {}".format),
+        st.sampled_from(["# a comment", "", "   # indented"]),
+    ]
+    if coupled:
+        valid.append(st.sampled_from(coupled).map("jcoupling {0[1]} {0[0]} -pi/4".format))
+    lines = draw(st.lists(st.one_of(valid), max_size=6))
+    a, b = draw(st.permutations(uncoupled))
+    spin = draw(spins)
+    bad = draw(st.sampled_from([0, -1, n + 1, n + 7]))
+    faults = [
+        (f"rotation {spin},{bad} y pi/2", [bad, 1, n]),
+        (f"gradient {bad}", [bad, 1, n]),
+        (f"jcoupling {spin} {bad} pi/2", [bad, 1, n]),
+        (f"jcoupling {a} {b} pi/2", [a, b]),
+        (f"rotation {spin} {draw(st.sampled_from(['w', '--x', '+-y', 'xy']))} pi", []),
+        (f"jcoupling {spin} {spin} pi/2", []),
+        ("gradient", []),
+    ]
+    fault, numbers = draw(st.sampled_from(faults))
+    k = draw(st.integers(0, len(lines)))
+    lines.insert(k, fault)
+    system = [f"spins {n}", "larmor " + " ".join(str(100.0 * i) for i in range(n))]
+    system += [f"j {i} {j} 12.5" for i, j in coupled]
+    return "\n".join(system) + "\n", "\n".join(lines) + "\n", k + 1, numbers
+
+
+@settings(max_examples=60, deadline=None)
+@given(faulty_sequence_files())
+def test_nmr_names_the_faulty_sequence_line(case):
+    spin_system, sequence, line, numbers = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(err):
+        paths = Path(tmp, "s.spinsys"), Path(tmp, "s.seq")
+        paths[0].write_text(spin_system)
+        paths[1].write_text(sequence)
+        code = main(["nmr", "--spin-system", str(paths[0]), "--sequence", str(paths[1]),
+                     "--out", str(Path(tmp, "report.json"))])
+    message = err.getvalue()
+    assert code == 2
+    assert message.startswith(f"error: sequence file line {line}: ")
+    # the line number, then only the file's own spin numbers
+    assert [int(v) for v in re.findall(r"-?\d+", message)] == [line, *numbers]
 
 
 def _pairs(length, entries=st.floats(-2, 2) | st.integers(-1, 1)):

@@ -26,6 +26,8 @@ j 2 3 65.0
 j 3 4 70.0
 """
 
+SYSTEM = parse_spin_system(SPINSYS)
+
 SEQUENCE = """
 rotation 2 y pi/2
 rotation 2,3 y pi/2   # same pulse on two spins
@@ -133,7 +135,7 @@ class TestSpinSystemFile:
 
 class TestSequenceFile:
     def test_parse(self):
-        events = parse_sequence(SEQUENCE)
+        events = parse_sequence(SEQUENCE, SYSTEM)
         half = pytest.approx(np.pi / 2)  # compared field by field: events reject non-numbers
         assert (events[0].spins, events[0].axis, events[0].angle) == ((1,), "y", half)
         assert (events[1].spins, events[1].axis, events[1].angle) == ((1, 2), "y", half)
@@ -145,31 +147,47 @@ class TestSequenceFile:
 
     def test_unknown_kind_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
-            parse_sequence("wiggle 1 x pi\n")
+            parse_sequence("wiggle 1 x pi\n", SYSTEM)
 
     def test_zero_based_spin_rejected(self):
-        with pytest.raises(ValueError, match="1-based"):
-            parse_sequence("rotation 0 y pi/2\n")
+        with pytest.raises(ValueError, match="spin 0 out of range: spins are 1 to 4"):
+            parse_sequence("rotation 0 y pi/2\n", SYSTEM)
 
     @pytest.mark.parametrize(
         "line", ["rotation 1 y nan", "jcoupling 1 2 inf", "delay inf", "delay nan"]
     )
     def test_non_finite_value_reports_line(self, line):
         with pytest.raises(ValueError, match="line 2: .*not finite"):
-            parse_sequence(f"# header\n{line}\n")
+            parse_sequence(f"# header\n{line}\n", SYSTEM)
 
     def test_zero_coupling_spin_reports_line(self):
-        with pytest.raises(ValueError, match="line 1: spin numbers are 1-based"):
-            parse_sequence("jcoupling 0 1 pi/2\n")
+        with pytest.raises(ValueError, match="line 1: spin 0 out of range"):
+            parse_sequence("jcoupling 0 1 pi/2\n", SYSTEM)
 
     @pytest.mark.parametrize("axis", ["--x", "+-y", "xy", "-"])
     def test_axis_takes_at_most_one_sign(self, axis):
         with pytest.raises(ValueError, match=re.escape(f"line 2: invalid axis '{axis}'")):
-            parse_sequence(f"delay 0.1\nrotation 1 {axis} pi/2\n")
+            parse_sequence(f"delay 0.1\nrotation 1 {axis} pi/2\n", SYSTEM)
 
     def test_self_coupling_reports_line(self):
-        with pytest.raises(ValueError, match="line 1: jcoupling needs two distinct spins"):
-            parse_sequence("jcoupling 2 2 pi/2\n")
+        with pytest.raises(ValueError, match="line 1: coupling needs two distinct spins"):
+            parse_sequence("jcoupling 2 2 pi/2\n", SYSTEM)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("rotation 1,5 y pi/2", "spin 5 out of range: spins are 1 to 4"),
+            ("jcoupling 5 1 pi/2", "spin 5 out of range: spins are 1 to 4"),
+            ("gradient 2,-1", "spin -1 out of range: spins are 1 to 4"),
+            ("jcoupling 1 4 pi/2", "spins 1 and 4 have no J coupling"),
+            ("jcoupling 3 1 pi/2", "spins 3 and 1 have no J coupling"),
+        ],
+    )
+    def test_system_checks_name_the_line_and_the_file_spins(self, line, message):
+        # the faulty line is the fourth of the file and the second event
+        text = f"# header\n\ndelay 0.1\n{line}\n"
+        with pytest.raises(ValueError, match=re.escape(f"sequence file line 4: {message}")):
+            parse_sequence(text, SYSTEM)
 
 
 class TestCircuitFile:

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -256,6 +257,42 @@ class TestRotations:
             apply_rotation(X, (0,), "q", np.pi)
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: Rotation((0,), "w", 0.2), "invalid axis 'w'"),
+        (lambda: Rotation((0,), 1, 0.2), "invalid axis 1"),
+        (lambda: Rotation((0,), None, 0.2), "invalid axis None"),
+        (lambda: JCoupling((1, 1), 0.2), "coupling needs two distinct spins"),
+        (lambda: JCoupling((0, 1, 2), 0.2), "coupling needs two distinct spins"),
+        (lambda: Gradient(()), "gradient needs a nonempty spin subset"),
+    ],
+    ids=["axis-w", "axis-int", "axis-none", "j-self", "j-three", "gradient-empty"],
+)
+def test_events_check_themselves_when_built(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+# The public kernels build their event from their arguments, so they reject
+# what the event rejects, before any state is touched.
+@pytest.mark.parametrize(
+    "kernel,message",
+    [
+        (lambda rho: apply_rotation(rho, (0,), "y", np.nan), "rotation angle must be finite"),
+        (lambda rho: apply_rotation(rho, (1,), "z", -np.inf), "rotation angle must be finite"),
+        (lambda rho: apply_rotation(rho, (0,), 2, 0.5), "invalid axis 2"),
+        (lambda rho: apply_jcoupling(rho, (0, 1), np.inf), "coupling angle must be finite"),
+        (lambda rho: apply_jcoupling(rho, (1, 1), 0.5), "coupling needs two distinct spins"),
+        (lambda rho: gradient_crush(rho, ()), "gradient needs a nonempty spin subset"),
+    ],
+    ids=["rotation-nan", "z-inf", "axis-int", "j-inf", "j-self", "gradient-empty"],
+)
+def test_public_kernels_check_their_event(kernel, message):
+    with pytest.raises(ValueError, match=message):
+        kernel(pseudopure_init("XY"))
+
+
 class TestGradientCrush:
     def test_transverse_term_destroyed(self):
         assert np.max(np.abs(gradient_crush(X, (0,)))) == 0
@@ -439,32 +476,42 @@ class TestRunSequence:
     @pytest.mark.parametrize(
         "event,message",
         [
-            (Rotation((2,), "z", 1.0), "spin index 2 out of range"),
-            (Rotation((0, -1), "-x", 1.0), "spin index -1 out of range"),
-            (Rotation((0, 2), "y", 1.0), "spin index 2 out of range"),
-            (JCoupling((0, 2), 1.0), "spin index 2 out of range"),
-            (JCoupling((1, 1), 1.0), "no J coupling"),
-            (Gradient((3,)), "spin index 3 out of range"),
+            (partial(Rotation, (2,), "z", 1.0), "spin index 2 out of range"),
+            (partial(Rotation, (0, -1), "-x", 1.0), "spin index -1 out of range"),
+            (partial(Rotation, (0, 2), "y", 1.0), "spin index 2 out of range"),
+            (partial(JCoupling, (0, 2), 1.0), "spin index 2 out of range"),
+            (partial(JCoupling, (0, 1), 1.0), "no J coupling"),
+            (partial(Gradient, (3,)), "spin index 3 out of range"),
         ],
     )
     def test_folded_events_keep_the_kernel_checks(self, event, message):
-        seq = [Delay(1e-3), Rotation((0,), "z", 0.3), event]
+        seq = [Delay(1e-3), Rotation((0,), "z", 0.3), event()]
         with pytest.raises(ValueError, match=message):
-            run_sequence(two_spin(), "XY", seq)
+            run_sequence(two_spin(j=0.0), "XY", seq)
 
     @pytest.mark.parametrize(
         "seq,message",
         [
-            ([Rotation((7,), "y", 0.1), Rotation((0,), "w", 0.2)], "spin index 7 out of range"),
-            ([Rotation((0,), "w", 0.2), Rotation((7,), "y", 0.1)], "invalid axis 'w'"),
-            ([Gradient((5,)), Rotation((0, 9), "--x", 0.3)], "spin index 5 out of range"),
+            (
+                [partial(Rotation, (7,), "y", 0.1), partial(Gradient, (9,))],
+                "spin index 7 out of range",
+            ),
+            (
+                [partial(Rotation, (7,), "y", 0.1), partial(Rotation, (0,), "w", 0.2)],
+                "invalid axis 'w'",
+            ),
+            (
+                [partial(Gradient, (5,)), partial(Rotation, (0, 9), "-x", 0.3)],
+                "spin index 5 out of range",
+            ),
         ],
     )
     def test_first_faulty_event_wins_over_the_pulsed_scan(self, seq, message):
-        # the scan for pulsed spins runs before the fold and skips what the
-        # fold will reject, so the error still names the first faulty event
+        # an event's own faults raise when it is built, before any check
+        # against the system; the pass that finds the pulsed spins then
+        # reports the first event the system rejects
         with pytest.raises(ValueError, match=message):
-            run_sequence(FOUR_SPINS, "XY0Z", seq)
+            run_sequence(FOUR_SPINS, "XY0Z", [make() for make in seq])
 
     def test_non_finite_generator_rejected_at_a_delay(self):
         s = SpinSystem((1e308,), np.zeros((1, 1)))  # pi * 1e308 overflows

@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_stacked import _scalar_draws
 from timeflow import properties
+from timeflow.circuits import TeleportCircuit, _evolution_chain, forward_oracle
 from timeflow.linalg import DEFAULT_TOL
 from timeflow.properties import SUITES, run_all
-from timeflow.reversal import time_reverse_gate
+from timeflow.reversal import photon_number, spin_half, time_reverse_gate
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -114,15 +116,51 @@ def test_haar_unitaries_drawn_per_run(monkeypatch, trials):
     "seed,trials,dims", [(7, 5, (2, 3)), (1, 50, (2, 3, 4, 8)), (12, 9, (4, 2)), (3, 6, (3,))]
 )
 def test_fused_circuit_rows_equal_the_standalone_suites(seed, trials, dims, faulty):
-    # Rows 7-9 come from one pass over the circuits of stream [seed, 7]; each
-    # standalone suite on that stream is the reference.  Every other row is
-    # its suite on its own stream [seed, k].
+    # Rows 7-9 come from one pass over the circuits of stream [seed, 7]; the
+    # reference recomputes their deviations one circuit at a time.  Every
+    # other row is its suite on its own stream [seed, k].
     gate = properties.faulty_reverse_gate if faulty else properties._time_reverse_gate
     rows = run_all(seed=seed, trials=trials, dims=dims, faulty=faulty)
     assert len(rows) == len(SUITES)
     for k, (fn, row) in enumerate(zip(SUITES, rows)):
-        stream = 7 if k in properties._CIRCUIT_ROWS else k
-        assert row == fn(np.random.default_rng([seed, stream]), trials, dims, DEFAULT_TOL, gate)
+        if k not in properties._CIRCUIT_ROWS:
+            assert row == fn(np.random.default_rng([seed, k]), trials, dims, DEFAULT_TOL, gate)
+    circuit_rows = [rows[k] for k in properties._CIRCUIT_ROWS]
+    expected = _circuit_deviations_by_member(seed, trials, dims, gate)
+    for row, dev in zip(circuit_rows, expected):
+        assert row.trials == trials and row.tolerance == DEFAULT_TOL
+        assert abs(row.max_deviation - dev) <= 1e-12
+        assert row.passed == (row.max_deviation <= DEFAULT_TOL)
+    # an injected fault must show in the chain rows, or the test compares zeros
+    assert (circuit_rows[0].max_deviation > 1e-3) == faulty
+
+
+def _circuit_deviations_by_member(seed, trials, dims, gate):
+    """The chain, semantics and probability deviations, one circuit at a
+    time from the twin generator's draws: u, v, w, the unitaries of phi and
+    omega, then the input state.  Each encoding's return leg is compared with
+    the closed form; the photon-number one with the oracle's designated
+    outcome up to global phase, and with the oracle, against 1/d**2."""
+    draws = iter(_scalar_draws("chain_consistency", seed, trials, dims))
+    chain = semantics = probability = 0.0
+    for _ in range(trials):
+        for d in dims:
+            u, v, w, phi, omega, psi = (next(draws) for _ in range(6))
+            c = TeleportCircuit(d, u, v, w, phi.reshape(-1) / np.sqrt(d),
+                                omega.reshape(-1) / np.sqrt(d))
+            encodings = [photon_number(d)] + ([spin_half(1.0), spin_half(1j)] if d == 2 else [])
+            chains = [dict(_evolution_chain(c, psi, e, gate)) for e in encodings]
+            for legs in chains:
+                chain = max(chain, np.max(np.abs(legs["return_leg"] - legs["closed_form"])))
+            ret = chains[0]["return_leg"]
+            oracle = forward_oracle(c, psi)
+            raw = oracle[0].raw
+            overlap = abs(np.vdot(ret, raw)) / (np.linalg.norm(ret) * np.linalg.norm(raw))
+            semantics = max(semantics, 1.0 - overlap)
+            probs = [rep.probability for rep in oracle.values()]
+            probability = max(probability, abs(np.linalg.norm(ret) ** 2 - 1 / d**2),
+                              abs(sum(probs) - 1.0), *(abs(q - 1 / d**2) for q in probs))
+    return chain, semantics, probability
 
 
 class _CountingGenerator:
