@@ -38,8 +38,9 @@ from .nmr import fid, pauli_decompose, run_sequence, spectrum
 from .reversal import is_maximally_entangled, photon_number, spin_half
 
 DEFAULT_SEED = 1234
-# Largest --points: the FID holds one complex sample per point and observed
-# line, so 2**16 points of a 10-spin state's 512 lines take 512 MiB.
+# Largest --points: each CSV file holds one row per point.  fid keeps about
+# 2 sqrt(points) complex exponentials per observed line, so 2**16 points of a
+# 10-spin state's 512 lines peak near 6 MiB.
 MAX_POINTS = 2**16
 # Largest --dims entry: two verify suites hold d**4 complex elements per
 # trial, 16 MiB at d = 32 and 256 MiB at d = 64.

@@ -22,7 +22,11 @@ Conventions, fixed once here:
   subset.
 * Detection of spin ``k`` is ``signal(t) = tr(rho(t) (X_k + i Y_k))``.  With
   the Hamiltonian above, a spin-k coherence with the other spins in |0> shows
-  up at ``nu_k + sum_j J_kj / 2``.
+  up at ``nu_k + sum_j J_kj / 2``.  :func:`fid` reads each line's
+  frequency off spin k's own offset and couplings, O(n) per line, and
+  splits the sample index into a coarse and a fine part, so a line takes
+  about 2 sqrt(points) complex exponentials and one matrix product sums the
+  lines.
 
 States are deviation matrices: traceless Pauli terms plus projector factors,
 written as symbol strings over {I, X, Y, Z, 0, 1} where 0 and 1 expand to
@@ -205,9 +209,10 @@ def _spin_mask(n: int, spins) -> int:
     return sum(1 << _bit(n, k) for k in set(spins))
 
 
-def _z_signs(n: int) -> np.ndarray:
-    """Row i holds the +1/-1 eigenvalue of Z_i on each of the 2**n basis states."""
-    idx = np.arange(2**n)
+def _z_signs(n: int, idx=None) -> np.ndarray:
+    """Row i holds the +1/-1 eigenvalue of Z_i on each basis state of
+    ``idx``, by default all 2**n of them."""
+    idx = np.arange(2**n) if idx is None else idx
     return 1.0 - 2.0 * ((idx >> _bit(n, np.arange(n))[:, None]) & 1)
 
 
@@ -562,18 +567,24 @@ def fid(
     """Complex detection signal of one spin under free evolution.
 
     Samples ``tr(rho(t) (X_d + i Y_d))`` at ``points`` uniform times starting
-    at 0 with spacing ``duration / points``.
+    at 0 with spacing ``dt = duration / points``: one line per nonzero
+    detected coherence, at the frequency :func:`_line_frequencies` gives.
+    Sample k = q b + j, with b = ceil(sqrt(points)), factors as
+    ``exp(-i w q b dt) exp(-i w j dt)``, so each line takes about
+    2 sqrt(points) exponentials, and one matrix product over the lines sums
+    a ceil(points / b) x b grid whose first ``points`` samples are the signal.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not isinstance(points, (int, np.integer)):
+        raise ValueError(f"points must be an integer, got {points!r}")
     if points < 2:
         raise ValueError("need at least two points")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
     rho0 = np.asarray(rho0)
     n = s.n
     if rho0.shape != (2**n, 2**n):
         raise ValueError("state size does not match the spin system")
     _spin_count(rho0, (detect,))
-    energies = build_hamiltonian(s)
     # X_d + i Y_d = 2 |0><1| on the detected spin, so the detector sees
     # 2 rho0[r, r ^ mask] for each row r with that spin's bit set.
     mask = _spin_mask(n, (detect,))
@@ -583,9 +594,31 @@ def fid(
         raise ValueError("the detected coherences must be finite")
     keep = np.abs(seen) > 1e-300
     rows, seen = rows[keep], seen[keep]
-    freq = energies[rows] - energies[rows ^ mask]
-    times = np.arange(points) * (duration / points)
-    return np.exp(-1j * np.outer(times, freq)) @ seen
+    freq = _line_frequencies(s, detect, rows)
+    if not math.isfinite(float(np.max(np.abs(freq), initial=0.0)) * float(duration)):
+        raise ValueError(f"a line's phase over {duration} s overflows")
+    dt = duration / points
+    b = math.isqrt(points - 1) + 1
+    a = -(-points // b)
+    coarse = np.exp(-1j * np.outer(np.arange(a) * (b * dt), freq))
+    coarse *= seen
+    fine = np.exp(-1j * np.outer(np.arange(b) * dt, freq))
+    return (coarse @ fine.T).reshape(-1)[:points]
+
+
+def _line_frequencies(s: SpinSystem, detect: int, rows: np.ndarray) -> np.ndarray:
+    """The frequency, in rad/s, at which the detector of spin ``detect`` sees
+    the coherence of each row r of ``rows``, which have that spin's bit set:
+    ``E(r) - E(r ^ mask)`` for the energies E of :func:`build_hamiltonian`,
+    with ``mask`` that spin's bit.
+
+    Only the terms on the detected spin d differ between the two states,
+    where Z_d reads -1 and +1, so the difference is
+    ``-2 pi nu_d - pi sum_{j != d} J_dj z_j(r)``: O(n) per line, without
+    subtracting two energies that are far larger than it.
+    """
+    zs = _z_signs(s.n, rows)
+    return -np.pi * (2 * s.larmor[detect] + s.j[detect] @ zs)
 
 
 @dataclass(frozen=True)
@@ -609,12 +642,22 @@ def spectrum(signal: np.ndarray, dwell: float, line_broadening: float = 0.0) -> 
     ``line_broadening`` is the Lorentzian full width at half maximum in Hz
     added by the apodization; the frequency axis is centered around zero
     following the dwell-time convention.  A negative width, which would
-    amplify the signal's tail, is rejected.
+    amplify the signal's tail, is rejected, and so are a signal that is not
+    one finite sample per point and a dwell that is not finite and positive
+    or whose acquisition time ``points * dwell`` or frequency step, its
+    inverse, overflows.
     """
+    if not (math.isfinite(dwell) and dwell > 0):
+        raise ValueError(f"dwell must be finite and positive, got {dwell}")
     if not line_broadening >= 0:
         raise ValueError(f"line broadening must be non-negative, got {line_broadening}")
     signal = np.asarray(signal)
+    if signal.ndim != 1 or not np.all(np.isfinite(signal)):
+        raise ValueError("signal must be one finite sample per point")
     n = signal.shape[0]
+    span = n * float(dwell)
+    if n and not (math.isfinite(span) and math.isfinite(1 / span)):
+        raise ValueError(f"dwell {dwell} s at {n} points overflows the time or frequency grid")
     times = np.arange(n) * dwell
     # The largest decay exponent, in Python floats (which overflow without a
     # warning): inf there, or inf * 0 = nan at n = 1, would make the spectrum NaN.

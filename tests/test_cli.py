@@ -541,6 +541,21 @@ def test_overflowing_broadening_is_input_error(capsys, tmp_path):
     assert not spectrum_path.exists()
 
 
+def test_duration_whose_frequency_grid_overflows_is_input_error(capsys, tmp_path):
+    # a dwell of 1.5625e-312 s: 1 / (64 * dwell) is past the largest double
+    spectrum_path = tmp_path / "spectrum.csv"
+    code = main([
+        "nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys",
+        "--sequence", f"{CONFIGS}/flip_on.seq", "--detect", "1", "--points", "64",
+        "--duration", "1e-310", "--spectrum-out", str(spectrum_path),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "dwell 1.5625e-312 s at 64 points overflows" in captured.err
+    assert not spectrum_path.exists()
+
+
 def test_cli_imports_without_scipy():
     code = "import sys; sys.modules['scipy'] = None; import timeflow.cli"
     src = str(Path(__file__).resolve().parent.parent / "src")

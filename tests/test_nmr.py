@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from functools import partial
 from itertools import product
 
@@ -16,6 +18,7 @@ from timeflow.nmr import (
     JCoupling,
     Rotation,
     SpinSystem,
+    _line_frequencies,
     acausality_sequence,
     apply_jcoupling,
     apply_rotation,
@@ -555,6 +558,48 @@ class TestFid:
         with pytest.raises(ValueError, match="finite"):
             fid(two_spin(), rho, detect=0, duration=0.01, points=16)
 
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf, -0.01])
+    def test_non_finite_or_negative_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            fid(single_spin(), X, detect=0, duration=duration, points=16)
+
+    @pytest.mark.parametrize("points", [16.5, 16.0, "16"])
+    def test_non_integer_points_rejected(self, points):
+        with pytest.raises(ValueError, match="points must be an integer"):
+            fid(single_spin(), X, detect=0, duration=0.01, points=points)
+
+    def test_numpy_integer_points_accepted(self):
+        signal = fid(single_spin(), X, detect=0, duration=0.01, points=np.int64(16))
+        assert np.array_equal(signal, fid(single_spin(), X, detect=0, duration=0.01, points=16))
+
+    def test_overflowing_line_phase_rejected(self):
+        # 2 pi * 1e308 overflows, and so does a finite frequency times a long duration
+        with pytest.raises(ValueError, match="overflows"):
+            fid(single_spin(1e308), X, detect=0, duration=0.01, points=16)
+        with pytest.raises(ValueError, match="overflows"):
+            fid(single_spin(1e300), X, detect=0, duration=1e10, points=16)
+
+    def test_ten_spins_at_the_point_limit_stay_small(self):
+        # all 512 lines of the detected spin at 2**16 points: the factored grid
+        # holds about 2 sqrt(points) exponentials per line, not points
+        n, points, duration = 10, 2**16, 2.0
+        mask = 1 << (n - 1)
+        rows = np.flatnonzero(np.arange(2**n) & mask)
+        rng = np.random.default_rng(10)
+        rho = np.zeros((2**n, 2**n), dtype=complex)
+        rho[rows, rows ^ mask] = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+        tracemalloc.start()
+        signal = fid(TEN_SPINS, rho, 0, duration, points)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * 2**20
+        energies = build_hamiltonian(TEN_SPINS)
+        freq = energies[rows] - energies[rows ^ mask]
+        k = np.array([0, 1, 255, 256, 257, 40000, points - 1])
+        t = k * (duration / points)
+        expected = np.exp(-1j * np.outer(t, freq)) @ (2 * rho[rows, rows ^ mask])
+        assert_close(signal[k], expected, tol=1e-9)
+
 
 class TestSpectrum:
     def test_single_peak_within_one_bin(self):
@@ -582,6 +627,24 @@ class TestSpectrum:
     def test_overflowing_decay_rejected(self, points, dwell, width):
         with pytest.raises(ValueError, match="line broadening .* overflows"):
             spectrum(np.ones(points, dtype=complex), dwell, line_broadening=width)
+
+    @pytest.mark.parametrize("dwell", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+    def test_dwell_must_be_finite_and_positive(self, dwell):
+        with pytest.raises(ValueError, match="dwell must be finite and positive"):
+            spectrum(np.ones(8, dtype=complex), dwell, line_broadening=1.0)
+
+    @pytest.mark.parametrize(
+        "signal", [np.ones((8, 8), dtype=complex), np.full(8, np.nan), np.array([1, np.inf, 0])]
+    )
+    def test_signal_must_be_one_finite_sample_per_point(self, signal):
+        with pytest.raises(ValueError, match="one finite sample per point"):
+            spectrum(signal, 0.125)
+
+    # 1 / (8 * 5e-324) and 8 * 1e308 overflow
+    @pytest.mark.parametrize("dwell", [5e-324, 1e308])
+    def test_dwell_whose_grid_overflows_rejected(self, dwell):
+        with pytest.raises(ValueError, match=re.escape(f"dwell {dwell} s at 8 points overflows")):
+            spectrum(np.ones(8, dtype=complex), dwell)
 
     def test_finite_decay_that_underflows_accepted(self):
         # exp(-pi * 1e307 * t) is 1 at t = 0 and 0 after: a flat spectrum
@@ -886,6 +949,71 @@ class TestAgainstDenseForms:
         state = random_state(2**n, rng)
         out = run_gate_circuit(GateCircuit(n, (Gate1(qubit, u),)), state)[()].raw
         assert_close(out, _embed(u, qubit, n) @ state)
+
+
+def mp_fid(s, rho, detect, duration, points):
+    """The detection signal as a 120-bit mpmath sum: each line at
+    E(r) - E(r ^ mask) of the module's H, with the float offsets and
+    couplings taken exactly, at the exact times k * duration / points."""
+    mpmath = pytest.importorskip("mpmath")
+    n = s.n
+    mask = 1 << (n - 1 - detect)
+    rows = np.flatnonzero(np.arange(2**n) & mask)
+    with mpmath.workprec(120):
+        nu = [mpmath.mpf(v) for v in s.larmor]
+        j = [[mpmath.mpf(float(v)) for v in row] for row in s.j]
+
+        def energy(r):
+            z = [1 - 2 * ((int(r) >> (n - 1 - i)) & 1) for i in range(n)]
+            return mpmath.pi * (
+                mpmath.fsum(nu[i] * z[i] for i in range(n))
+                + mpmath.fsum(j[i][k] * z[i] * z[k] for i in range(n) for k in range(i)) / 2
+            )
+
+        lines = [(mpmath.mpc(2 * complex(rho[r, r ^ mask])), energy(r) - energy(r ^ mask))
+                 for r in rows]
+        omega = np.array([float(w) for _, w in lines])
+        signal = np.array([
+            complex(mpmath.fsum(c * mpmath.expj(-w * k * mpmath.mpf(duration) / points)
+                                for c, w in lines))
+            for k in range(points)
+        ])
+    return signal, omega
+
+
+# 2, a prime, a square and the counts either side of it: full and ragged
+# last rows of the factored sample grid
+@pytest.mark.parametrize("points", [2, 31, 35, 36, 37])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fid_against_an_mpmath_sum(n, points):
+    rng = np.random.default_rng([21, n, points])
+    s = _random_system(n, rng)
+    rho = _hermitian(2**n, rng)
+    detect = int(rng.integers(n))
+    duration = float(rng.uniform(0.05, 2.0))
+    expected, omega = mp_fid(s, rho, detect, duration, points)
+    mask = 1 << (n - 1 - detect)
+    rows = np.flatnonzero(np.arange(2**n) & mask)
+    weight = np.sum(np.abs(2 * rho[rows, rows ^ mask]))
+    # every phase is good to a few ulps of the largest argument |w t|
+    bound = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(omega)) * duration) * weight
+    assert np.max(np.abs(fid(s, rho, detect, duration, points) - expected)) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), seed=SEEDS, detect=st.integers(0, 9))
+def test_line_frequencies_are_energy_differences(n, seed, detect):
+    rng = np.random.default_rng(seed)
+    s = _random_system(n, rng)
+    detect %= n
+    mask = 1 << (n - 1 - detect)
+    rows = np.flatnonzero(np.arange(2**n) & mask)
+    energies = build_hamiltonian(s)
+    # each energy sums at most n**2 / 2 terms, each no larger than its share
+    # of the scale below
+    scale = np.pi * (np.sum(np.abs(s.larmor)) + np.sum(np.abs(s.j)))
+    error = np.abs(_line_frequencies(s, detect, rows) - (energies[rows] - energies[rows ^ mask]))
+    assert np.max(error) <= n * n * np.finfo(float).eps * scale
 
 
 def _shuffled_sequence(n, rng):
