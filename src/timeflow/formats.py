@@ -25,7 +25,7 @@ import re
 import numpy as np
 
 from .linalg import HADAMARD, ID2, INPUT_TOL, PAULI, SGATE, basis_state, bell_state, rx, ry, rz
-from .nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem
+from .nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem, _check_self_coupling
 from .reversal import canonical_pair, photon_number
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d*)?))?$")
@@ -62,53 +62,76 @@ def finite_float(token: str) -> float:
 
 
 def _content_lines(text: str):
+    """``(line number, lower-case keyword, fields)`` per line with content."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields[0].lower(), fields[1:]
+
+
+# The fields a line holds after its keyword (``larmor`` holds one per spin).
+_FIELDS = {
+    "spins": ("count",),
+    "j": ("first spin", "second spin", "coupling"),
+    "rotation": ("spins", "axis", "angle"),
+    "jcoupling": ("first spin", "second spin", "angle"),
+    "delay": ("duration",),
+    "gradient": ("spins",),
+}
+
+
+def _exact(key: str, fields: list) -> list:
+    """A ``key`` line's fields, checked against :data:`_FIELDS`: a short line
+    names the first missing field, a long one the first extra."""
+    names = _FIELDS[key]
+    if len(fields) < len(names):
+        raise ValueError(f"missing field '{names[len(fields)]}'")
+    if len(fields) > len(names):
+        raise ValueError(f"unexpected field {fields[len(names)]!r}")
+    return fields
 
 
 def parse_spin_system(text: str) -> SpinSystem:
     """Parse the key-value spin-system format."""
     spins = None
     larmor = None
-    couplings: dict[tuple[int, int], float] = {}  # by 1-based pair, lower spin first
-    lines: dict[tuple[int, int], int] = {}  # each pair's line, checked after the loop
+    couplings: dict[tuple[int, int], tuple] = {}  # (J, line) by 1-based pair, lower first
     seen: dict[str, int] = {}  # the line of the spins and larmor keys
-    for lineno, line in _content_lines(text):
-        fields = line.split()
-        key = fields[0].lower()
+    for lineno, key, fields in _content_lines(text):
         try:
             if key == "spins":
-                spins = int(fields[1])
+                (count,) = _exact(key, fields)
+                spins = int(count)
                 if spins < 1:
                     raise ValueError(f"need at least 1 spin, got {spins}")
             elif key == "larmor":
-                larmor = [finite_float(v) for v in fields[1:]]
+                larmor = [finite_float(v) for v in fields]
             elif key == "j":
-                a, b, val = int(fields[1]), int(fields[2]), finite_float(fields[3])
+                a, b, val = _exact(key, fields)
+                a, b, val = int(a), int(b), finite_float(val)
                 if a == b:
-                    raise ValueError(f"self-coupling of spin {a} is not allowed")
+                    _check_self_coupling(a, val)
                 pair = (min(a, b), max(a, b))
-                if pair in lines:
-                    raise ValueError(f"coupling of spins {a} and {b} repeats line {lines[pair]}")
-                couplings[pair], lines[pair] = val, lineno
+                if pair in couplings:
+                    first = couplings[pair][1]
+                    raise ValueError(f"coupling of spins {a} and {b} repeats line {first}")
+                couplings[pair] = val, lineno
             else:
                 raise ValueError(f"unknown key {key!r}")
             if key in seen:
                 raise ValueError(f"{key!r} repeats line {seen[key]}")
             if key != "j":
                 seen[key] = lineno
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"spin-system file line {lineno}: {exc}") from None
     if spins is None:
         raise ValueError("spin-system file: missing 'spins' line")
     if larmor is None or len(larmor) != spins:
         raise ValueError(f"spin-system file: need exactly {spins} larmor values")
     by_index = {}  # the couplings by 0-based pair
-    for pair, lineno in lines.items():
+    for pair, (val, lineno) in couplings.items():
         try:
-            by_index[_parse_spins(pair, spins)] = couplings[pair]
+            by_index[_parse_spins(pair, spins)] = val
         except ValueError as exc:
             raise ValueError(f"spin-system file line {lineno}: coupling {exc}") from None
     return SpinSystem.from_couplings(larmor, by_index)
@@ -132,25 +155,27 @@ def parse_sequence(text: str, system: SpinSystem) -> list:
     """Parse the line-based pulse-sequence format into event objects whose
     spins exist in ``system`` and whose coupled pairs have a nonzero J."""
     events = []
-    for lineno, line in _content_lines(text):
-        fields = line.split()
-        kind = fields[0].lower()
+    for lineno, kind, fields in _content_lines(text):
         try:
             if kind == "rotation":
-                spins = _parse_spins(fields[1].split(","), system.n)
-                events.append(Rotation(spins, fields[2].lower(), parse_angle(fields[3])))
+                spins, axis, angle = _exact(kind, fields)
+                spins = _parse_spins(spins.split(","), system.n)
+                events.append(Rotation(spins, axis.lower(), parse_angle(angle)))
             elif kind == "jcoupling":
-                pair = _parse_spins((fields[1], fields[2]), system.n)
-                events.append(JCoupling(pair, parse_angle(fields[3])))
+                a, b, angle = _exact(kind, fields)
+                pair = _parse_spins((a, b), system.n)
+                events.append(JCoupling(pair, parse_angle(angle)))
                 if system.j[pair] == 0.0:
                     raise ValueError(f"spins {pair[0] + 1} and {pair[1] + 1} have no J coupling")
             elif kind == "delay":
-                events.append(Delay(finite_float(fields[1])))
+                (duration,) = _exact(kind, fields)
+                events.append(Delay(finite_float(duration)))
             elif kind == "gradient":
-                events.append(Gradient(_parse_spins(fields[1].split(","), system.n)))
+                (spins,) = _exact(kind, fields)
+                events.append(Gradient(_parse_spins(spins.split(","), system.n)))
             else:
                 raise ValueError(f"unknown event kind {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"sequence file line {lineno}: {exc}") from None
     return events
 

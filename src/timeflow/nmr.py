@@ -118,8 +118,8 @@ class SpinSystem:
             raise ValueError("larmor offsets and J couplings must be finite")
         if np.max(np.abs(j - j.T)) > 0:
             raise ValueError("J matrix must be symmetric")
-        if np.max(np.abs(np.diag(j))) > 0:
-            raise ValueError("J matrix must have a zero diagonal")
+        for spin, value in enumerate(np.diag(j)):
+            _check_self_coupling(spin, value)
         object.__setattr__(self, "larmor", larmor)
         object.__setattr__(self, "j", j)
 
@@ -133,8 +133,6 @@ class SpinSystem:
         n = len(larmor)
         j = np.zeros((n, n))
         for (a, b), val in couplings.items():
-            if a == b:
-                raise ValueError("self-coupling is not allowed")
             j[a, b] = j[b, a] = float(val)
         return cls(tuple(larmor), j)
 
@@ -191,6 +189,13 @@ class Gradient:
 
 
 PulseEvent = Rotation | JCoupling | Delay | Gradient
+
+
+def _check_self_coupling(spin, value) -> None:
+    """A spin's coupling to itself is zero: the one rule for the J diagonal,
+    a coupling dict's ``(a, a)`` entry and a file's ``j a a`` line."""
+    if value != 0.0:
+        raise ValueError(f"self-coupling of spin {spin} must be zero, got {value}")
 
 
 def _check_finite(what: str, value: float) -> None:

@@ -1,24 +1,29 @@
 """Randomized verification suites for the library's structural claims.
 
-Every suite takes ``(rng, trials, dims, tol, reverse_gate)``, ignores what
-it does not use, draws its trials from ``rng``, reports the worst deviation
-it saw, and passes iff that deviation is within tolerance.  The suites are
-what ``timeflow verify`` runs; the fault-injection mode replaces the
-gate-reversal rule with a deliberately wrong one (conjugation skipped,
-leaving the adjoint instead of the transpose) to show which suites catch
-such a regression.  :func:`run_all` gives suite k the stream ``[seed, k]``,
-except that the three circuit suites share one pass (:func:`_circuit_rows`)
-over the circuits of stream ``[seed, 7]``.
+Every suite takes ``(seed, trials, dims, tol, reverse_gate)``, ignores what
+it does not use, and reports per claim a row with the worst deviation it
+saw, which passes iff it is within tolerance.  :data:`SUITES` is the table
+of report rows, each with its suite; the three circuit rows come from one
+pass (:func:`_circuit_rows`).  ``timeflow verify`` runs them; its
+fault-injection mode replaces the gate-reversal rule with a wrong one
+(conjugation skipped, leaving the adjoint instead of the transpose) to show
+which suites catch such a regression.
 
-Trials run in blocks: each block draws all of its normals in one call, cut
-in the order a trial-by-trial loop over ``linalg.random_unitary`` and
-``linalg.random_state`` would draw them, and every check runs on the stacked
-arrays.  A block holds ``BLOCK_ELEMENTS // cost`` trials, with cost
-``max(dims)**3`` for the circuit and d**4 suites and, for the others, the
-normals one trial draws.  The two d**4 suites (``backward_consistency`` and
-``entanglement_unitarity``) work through a block in slices of
-``BLOCK_ELEMENTS // d**4`` trials per dimension, so a small dimension takes
-one pass.  Memory does not grow with the trial count.
+Draws are keyed.  A suite's trials at dimension d come in pages of ``P``
+trials, and page p draws its normals, trial after trial, from
+``np.random.default_rng([seed, suite, d, p])``.  The suite key is the
+:data:`SUITES` index of the suite's first row, and ``encoding_independence``
+reads the d = 2 pages of the circuit rows (key 7).  So a trial's draws do
+not depend on the other ``--dims`` entries or on the block size, and each
+dimension is drawn and checked on its own: a row's deviation under several
+dimensions is the worst of its runs at each one alone.
+
+Trials run in blocks of at most ``BLOCK_ELEMENTS // cost`` trials of one
+page, each drawn in one call and checked on stacked arrays, so memory does
+not grow with the trial count.  The cost is the largest array a trial
+stacks: d**4 elements for ``backward_consistency`` and
+``entanglement_unitarity``, d**3 for the circuit suites and, for the others,
+the normals one trial draws.
 
 A maximally entangled pair is one Haar unitary ``V`` read as the state
 ``V / sqrt(d)`` (:func:`_pairs`), so a circuit draws five unitaries: u, v, w
@@ -62,6 +67,8 @@ from .reversal import (
 )
 
 ALPHA_PHASES = tuple(np.exp(2j * np.pi * k / 8) for k in range(8))
+
+P = 1024  # trials per page of draws
 
 # A block holds as many trials as keep its largest stacked array near this
 # many complex elements.  Chosen from a sweep of 10,000 trials at dims
@@ -114,209 +121,172 @@ def _encodings_for(d: int) -> list[Encoding]:
     return [photon_number(d)]
 
 
-def _blocks(rng, trials, layouts, cost=None):
-    """Stacked normals for blocks of trials, in trial-by-trial draw order.
-
-    ``layouts`` holds, per stream part (one per dimension), the shapes that a
-    trial draws there in turn.  Each block is one ``standard_normal`` call of
-    ``max(1, BLOCK_ELEMENTS // cost)`` trials, where ``cost`` defaults to the
-    normals one trial draws; it yields, per part, one ``(trials, *shape)``
-    array per shape.
-    """
-    ends = np.cumsum([math.prod(shape) for layout in layouts for shape in layout])
+def _blocks(seed, suite, d, trials, shapes, cost=None):
+    """Per block, one ``(trials, *shape)`` array per shape of the normals
+    that each trial at dimension ``d`` draws from its page's generator.  A
+    block is one draw of at most ``max(1, BLOCK_ELEMENTS // cost)`` trials of
+    one page; ``cost`` defaults to the normals one trial draws."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
     per_block = max(1, BLOCK_ELEMENTS // (cost or int(ends[-1])))
-    for start in range(0, trials, per_block):
-        b = min(per_block, trials - start)
-        pieces = iter(np.split(rng.standard_normal((b, ends[-1])), ends[:-1], axis=1))
-        yield [[next(pieces).reshape(b, *shape) for shape in layout] for layout in layouts]
+    for first in range(0, trials, P):
+        rng = np.random.default_rng([seed, suite, d, first // P])
+        page = min(P, trials - first)
+        for start in range(0, page, per_block):
+            b = min(per_block, page - start)
+            parts = np.split(rng.standard_normal((b, ends[-1])), ends[:-1], axis=1)
+            yield [part.reshape(b, *shape) for part, shape in zip(parts, shapes)]
 
 
-def _slices(n, d, power):
-    """Slices of a block's ``n`` trials that keep a stacked array of
-    ``d**power`` elements per trial near ``BLOCK_ELEMENTS`` elements."""
-    step = max(1, BLOCK_ELEMENTS // d**power)
-    return (slice(start, start + step) for start in range(0, n, step))
+def _circuit_draws(seed, trials, d):
+    """Random circuits and input states ``(c, psi)`` per block, from the
+    circuit pages (key 7)."""
+    for gates, psi in _blocks(seed, 7, d, trials, ((5, 2, d, d), (2, d)), d**3):
+        yield _circuit(d, gates), gaussian_state(psi)
 
 
-def _circuit_draws(rng, trials, dims):
-    """Stacked random circuits and input states per block and dimension:
-    ``(d, c, psi)``."""
-    layouts = [((5, 2, d, d), (2, d)) for d in dims]
-    for block in _blocks(rng, trials, layouts, max(dims) ** 3):
-        for d, (gates, psi) in zip(dims, block):
-            yield d, _circuit(d, gates), gaussian_state(psi)
-
-
-def check_correspondence_roundtrip(rng, trials, dims, tol, reverse_gate):
+def check_correspondence_roundtrip(seed, trials, dims, tol, reverse_gate):
     """state -> matrix -> state is the identity, elementwise, both ways."""
     dev = 0.0
-    layouts = [((2, d * d), (2, d, d)) for d in dims]
-    for block in _blocks(rng, trials, layouts):
-        for state, matrix in block:
+    for d in dims:
+        for state, matrix in _blocks(seed, 0, d, trials, ((2, d * d), (2, d, d))):
             phi = gaussian_state(state)
             q = matrix[:, 0] + 1j * matrix[:, 1]
             dev = max(dev, np.max(np.abs(state_of_matrix(amplitude_matrix(phi)) - phi)))
             dev = max(dev, np.max(np.abs(amplitude_matrix(state_of_matrix(q)) - q)))
-    return _result("correspondence_roundtrip", trials, dev, tol)
+    return [_result("correspondence_roundtrip", trials, dev, tol)]
 
 
-def check_backward_consistency(rng, trials, dims, tol, reverse_gate):
+def check_backward_consistency(seed, trials, dims, tol, reverse_gate):
     """Reduced-matrix form of the backward state equals the closed form's
     outer product.
 
-    Per block: one normal draw holding, per trial and dimension, the input
-    state, a maximally entangled pair and a random pair; then, per dimension,
-    one uniform per trial that keeps the maximally entangled pair below 0.5.
+    A trial draws the input state, a maximally entangled pair, a random pair
+    and one coin normal; below zero the maximally entangled pair is used.
     """
     dev = 0.0
-    layouts = [((2, d), (2, d, d), (2, d * d)) for d in dims]
-    for block in _blocks(rng, trials, layouts, max(dims) ** 3):
-        for d, (psi, pair, state) in zip(dims, block):
-            keep_pair = rng.random(len(psi)) < 0.5
-            phi = np.where(keep_pair[:, None], _pairs(pair), gaussian_state(state))
-            psi = gaussian_state(psi)
-            for s in _slices(len(psi), d, 4):
-                rho, psi_bar = backward_state(psi[s], phi[s])
-                dev = max(dev, np.max(np.abs(rho - projector(psi_bar))))
-    return _result("backward_consistency", trials, dev, tol)
+    for d in dims:
+        shapes = ((2, d), (2, d, d), (2, d * d), ())
+        for psi, pair, state, coin in _blocks(seed, 1, d, trials, shapes, d**4):
+            phi = np.where((coin < 0)[:, None], _pairs(pair), gaussian_state(state))
+            rho, psi_bar = backward_state(gaussian_state(psi), phi)
+            dev = max(dev, np.max(np.abs(rho - projector(psi_bar))))
+    return [_result("backward_consistency", trials, dev, tol)]
 
 
-def check_entanglement_unitarity(rng, trials, dims, tol, reverse_gate):
+def check_entanglement_unitarity(seed, trials, dims, tol, reverse_gate):
     """Biconditional: the transfer matrix is unitary exactly when the reduced
     state of either carrier is 1/d.  Deviation counts misclassifications, so
     the suite is exact and reports tolerance 0."""
     bad = 0
-    layouts = [((2, d, d), (2, d * d)) for d in dims]
-    for block in _blocks(rng, trials, layouts, max(dims) ** 3):
-        for d, (pair, state) in zip(dims, block):
+    for d in dims:
+        for pair, state in _blocks(seed, 2, d, trials, ((2, d, d), (2, d * d)), d**4):
             for phi, expect in ((_pairs(pair), True), (gaussian_state(state), None)):
-                reduced = np.concatenate([
-                    partial_trace(projector(phi[s]), [d, d], keep=(1,))
-                    for s in _slices(len(phi), d, 4)
-                ])
+                reduced = partial_trace(projector(phi), [d, d], keep=(1,))
                 ent = np.max(np.abs(d * reduced - np.eye(d)), axis=(-2, -1)) <= INPUT_TOL
                 uni = unitary_residuals(transfer_matrix(phi)) <= INPUT_TOL
                 wrong = ent != uni
                 if expect is not None:
                     wrong |= ent != expect
                 bad += int(wrong.sum())
-    return _result("entanglement_unitarity", 2 * trials * len(dims), bad, 0.0)
+    return [_result("entanglement_unitarity", 2 * trials * len(dims), bad, 0.0)]
 
 
-def check_local_frame_relation(rng, trials, dims, tol, reverse_gate):
+def check_local_frame_relation(seed, trials, dims, tol, reverse_gate):
     """(chi (x) 1) applied to the canonical pair reproduces the state, for
     every encoding."""
     dev = 0.0
     encodings = _encodings_for(2)
-    for ((normals,),) in _blocks(rng, trials, [((len(encodings), 2, 2, 2),)]):
+    for (normals,) in _blocks(seed, 3, 2, trials, ((len(encodings), 2, 2, 2),)):
         for psi, e in zip(np.moveaxis(_pairs(normals), 1, 0), encodings):
             chi = local_frame_gate(psi, e)
             rebuilt = (chi @ canonical_pair(e).reshape(2, 2)).reshape(psi.shape)
             dev = max(dev, np.max(np.abs(rebuilt - psi)))
-    return _result("local_frame_relation", trials, dev, tol)
+    return [_result("local_frame_relation", trials, dev, tol)]
 
 
-def check_conjugation_sign(rng, trials, dims, tol, reverse_gate):
+def check_conjugation_sign(seed, trials, dims, tol, reverse_gate):
     """The reversal unitary's conjugation sign squares to one, exactly."""
-    dev = 0.0
-    count = 0
-    photons = (photon_number(2), photon_number(3))
-    for alpha in ALPHA_PHASES:
-        for e in (spin_half(alpha), *photons):
-            count += 1
-            g = conjugation_sign(e.matrix)
-            dev = max(dev, abs(g * g - 1), abs(g - e.sign))
-    return _result("conjugation_sign", count, dev, 0.0)
+    encodings = [e for alpha in ALPHA_PHASES
+                 for e in (spin_half(alpha), photon_number(2), photon_number(3))]
+    signs = [(conjugation_sign(e.matrix), e.sign) for e in encodings]
+    dev = max(max(abs(g * g - 1), abs(g - sign)) for g, sign in signs)
+    return [_result("conjugation_sign", len(encodings), dev, 0.0)]
 
 
-def check_spin_flip(rng, trials, dims, tol, reverse_gate):
+def check_spin_flip(seed, trials, dims, tol, reverse_gate):
     """All three spin-component expectations negate under time reversal."""
     dev = 0.0
-    for ((normals,),) in _blocks(rng, trials, [((2, 2),)]):
+    for (normals,) in _blocks(seed, 5, 2, trials, ((2, 2),)):
         psi = gaussian_state(normals)
         rev = time_reverse_state(psi, spin_half())
         dev = max(dev, np.max(np.abs(spin_expectations(rev) + spin_expectations(psi))))
-    return _result("spin_flip", trials, dev, tol)
+    return [_result("spin_flip", trials, dev, tol)]
 
 
-def check_double_reversal(rng, trials, dims, tol, reverse_gate):
+def check_double_reversal(seed, trials, dims, tol, reverse_gate):
     """Reversing a gate twice gives the gate back, for both signs."""
     dev = 0.0
     encodings = _encodings_for(2)
-    for ((normals,),) in _blocks(rng, trials, [((len(encodings), 2, 2, 2),)]):
+    for (normals,) in _blocks(seed, 6, 2, trials, ((len(encodings), 2, 2, 2),)):
         for u, e in zip(np.moveaxis(haar_unitary(normals), 1, 0), encodings):
             dev = max(dev, np.max(np.abs(time_reverse_gate(time_reverse_gate(u, e), e) - u)))
-    return _result("double_reversal", trials, dev, tol)
+    return [_result("double_reversal", trials, dev, tol)]
 
 
-def _circuit_rows(rng, trials, dims, tol, reverse_gate) -> list[PropertyResult]:
-    """The rows of the three circuit suites, in ``SUITES`` order, from one
-    draw: every encoding's return leg against the closed form, the first
-    (photon-number) one against the oracle's designated outcome up to global
-    phase, and it and every oracle outcome against probability 1/d**2."""
+def _circuit_rows(seed, trials, dims, tol, reverse_gate):
+    """The three circuit rows from one draw: every encoding's return leg
+    against the closed form, the first (photon-number) one against the
+    oracle's designated outcome up to global phase, and it and every oracle
+    outcome against probability 1/d**2."""
     chain = semantics = probability = 0.0
-    encodings = {d: _encodings_for(d) for d in dims}
-    for d, c, psi in _circuit_draws(rng, trials, dims):
-        chains = [_evolution_chain(c, psi, e, reverse_gate) for e in encodings[d]]
-        chain = max([chain] + [np.max(np.abs(legs[3][1] - legs[4][1])) for legs in chains])
-        ret = chains[0][3][1]
-        outcomes = _outcome_amplitudes(c, psi)
-        semantics = max(semantics, np.max(np.abs(phase_distance(ret, outcomes[..., 0, :]))))
-        probs = np.linalg.norm(outcomes, axis=-1) ** 2
-        probability = max(
-            probability,
-            np.max(np.abs(np.linalg.norm(ret, axis=-1) ** 2 - 1.0 / d**2)),
-            np.max(np.abs(probs - 1.0 / d**2)),
-            np.max(np.abs(np.sum(probs, axis=-1) - 1.0)),
-        )
+    for d in dims:
+        encodings = _encodings_for(d)
+        for c, psi in _circuit_draws(seed, trials, d):
+            chains = [_evolution_chain(c, psi, e, reverse_gate) for e in encodings]
+            chain = max([chain] + [np.max(np.abs(legs[3][1] - legs[4][1])) for legs in chains])
+            ret = chains[0][3][1]
+            outcomes = _outcome_amplitudes(c, psi)
+            semantics = max(semantics, np.max(np.abs(phase_distance(ret, outcomes[..., 0, :]))))
+            probs = np.linalg.norm(outcomes, axis=-1) ** 2
+            probability = max(
+                probability,
+                np.max(np.abs(np.linalg.norm(ret, axis=-1) ** 2 - 1.0 / d**2)),
+                np.max(np.abs(probs - 1.0 / d**2)),
+                np.max(np.abs(np.sum(probs, axis=-1) - 1.0)),
+            )
     names = ("chain_consistency", "semantics_equivalence", "probability_law")
     return [_result(n, trials, dev, tol) for n, dev in zip(names, (chain, semantics, probability))]
 
 
-def check_chain_consistency(rng, trials, dims, tol, reverse_gate):
-    """The return leg of the evolution chain equals the closed form."""
-    return _circuit_rows(rng, trials, dims, tol, reverse_gate)[0]
-
-
-def check_semantics_equivalence(rng, trials, dims, tol, reverse_gate):
-    """Chain evaluation matches the tensor-product oracle up to global phase."""
-    return _circuit_rows(rng, trials, dims, tol, reverse_gate)[1]
-
-
-def check_probability_law(rng, trials, dims, tol, reverse_gate):
-    """Every outcome probability is 1/d**2 in both semantics."""
-    return _circuit_rows(rng, trials, dims, tol, reverse_gate)[2]
-
-
-def check_encoding_independence(rng, trials, dims, tol, reverse_gate):
+def check_encoding_independence(seed, trials, dims, tol, reverse_gate):
     """The chain output is the same vector for every carrier encoding,
-    including every unit phase of the spin reversal matrix."""
+    including every unit phase of the spin reversal matrix, on the d = 2
+    circuits of the circuit rows."""
     dev = 0.0
     photon, spins = photon_number(2), [spin_half(alpha) for alpha in ALPHA_PHASES]
-    for _, c, psi in _circuit_draws(rng, trials, (2,)):
+    for c, psi in _circuit_draws(seed, trials, 2):
         ref = _evolution_chain(c, psi, photon, reverse_gate)[3][1]
         for e in spins:
             out = _evolution_chain(c, psi, e, reverse_gate)[3][1]
             dev = max(dev, np.max(np.abs(out - ref)))
-    return _result("encoding_independence", trials, dev, tol)
+    return [_result("encoding_independence", trials, dev, tol)]
 
 
-# Suite k draws from the stream [seed, k], so the order fixes every report;
-# run_all reports suites 7-9 from one _circuit_rows pass over stream [seed, 7].
+# The report rows in order, each with the suite that reports it; a suite
+# reports all of its rows from one run.
 SUITES = (
-    check_correspondence_roundtrip,
-    check_backward_consistency,
-    check_entanglement_unitarity,
-    check_local_frame_relation,
-    check_conjugation_sign,
-    check_spin_flip,
-    check_double_reversal,
-    check_chain_consistency,
-    check_semantics_equivalence,
-    check_probability_law,
-    check_encoding_independence,
+    ("correspondence_roundtrip", check_correspondence_roundtrip),
+    ("backward_consistency", check_backward_consistency),
+    ("entanglement_unitarity", check_entanglement_unitarity),
+    ("local_frame_relation", check_local_frame_relation),
+    ("conjugation_sign", check_conjugation_sign),
+    ("spin_flip", check_spin_flip),
+    ("double_reversal", check_double_reversal),
+    ("chain_consistency", _circuit_rows),
+    ("semantics_equivalence", _circuit_rows),
+    ("probability_law", _circuit_rows),
+    ("encoding_independence", check_encoding_independence),
 )
-_CIRCUIT_ROWS = range(7, 10)  # the SUITES that _circuit_rows reports
 
 
 def run_all(
@@ -330,9 +300,8 @@ def run_all(
     if trials <= 0:
         raise ValueError("trials must be positive")
     reverse_gate = faulty_reverse_gate if faulty else _time_reverse_gate
-    args = (trials, tuple(dims), tol, reverse_gate)
-    rows = [fn(np.random.default_rng([seed, k]), *args)
-            for k, fn in enumerate(SUITES) if k not in _CIRCUIT_ROWS]
-    k = _CIRCUIT_ROWS.start
-    rows[k:k] = _circuit_rows(np.random.default_rng([seed, k]), *args)
-    return rows
+    rows = {}
+    for name, suite in SUITES:
+        if name not in rows:
+            rows.update((r.name, r) for r in suite(seed, trials, tuple(dims), tol, reverse_gate))
+    return [rows[name] for name, _ in SUITES]

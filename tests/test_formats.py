@@ -15,7 +15,7 @@ from timeflow.formats import (
     vector_pairs,
 )
 from timeflow.linalg import HADAMARD, SX, bell_state, ry
-from timeflow.nmr import Delay, Gradient, JCoupling, Rotation
+from timeflow.nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem
 
 SPINSYS = """
 # four spins
@@ -105,6 +105,35 @@ class TestSpinSystemFile:
         with pytest.raises(ValueError, match="line 3: self-coupling of spin 1"):
             parse_spin_system("spins 2\nlarmor 0.0 1.0\nj 1 1 5\n")
 
+    @pytest.mark.parametrize("line,extra", [("j 1 2 5 junk", "junk"), ("spins 2 3", "3")])
+    def test_trailing_field_reports_line(self, line, extra):
+        with pytest.raises(ValueError, match=f"line 3: unexpected field '{extra}'"):
+            parse_spin_system(f"spins 2\nlarmor 0.0 1.0\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line,field", [("j 1 2", "coupling"), ("j 1", "second spin"), ("spins", "count")]
+    )
+    def test_short_line_names_the_missing_field(self, line, field):
+        with pytest.raises(ValueError, match=f"line 3: missing field '{field}'"):
+            parse_spin_system(f"spins 2\nlarmor 0.0 1.0\n{line}\n")
+
+    @pytest.mark.parametrize("value", [0.0, 5.0])
+    def test_self_coupling_rule_is_the_same_at_every_entry_point(self, value):
+        # SpinSystem owns the rule; the file adds its line and its numbering.
+        j = np.zeros((2, 2))
+        j[0, 0] = value
+        builds = [
+            lambda: SpinSystem((0.0, 1.0), j),
+            lambda: SpinSystem.from_couplings((0.0, 1.0), {(0, 0): value}),
+            lambda: parse_spin_system(f"spins 2\nlarmor 0.0 1.0\nj 1 1 {value}\n"),
+        ]
+        if value:
+            for build, message in zip(builds, ["spin 0", "spin 0", "line 3: self-coupling of spin 1"]):
+                with pytest.raises(ValueError, match=f"{message}.* must be zero, got 5.0"):
+                    build()
+        else:
+            assert all(np.array_equal(build().j, np.zeros((2, 2))) for build in builds)
+
     def test_coupling_out_of_range_reports_line_and_spin(self):
         # the j line comes before the spins line, which it is checked against
         with pytest.raises(ValueError, match="line 1: coupling spin 3 out of range"):
@@ -168,6 +197,33 @@ class TestSequenceFile:
     def test_axis_takes_at_most_one_sign(self, axis):
         with pytest.raises(ValueError, match=re.escape(f"line 2: invalid axis '{axis}'")):
             parse_sequence(f"delay 0.1\nrotation 1 {axis} pi/2\n", SYSTEM)
+
+    @pytest.mark.parametrize(
+        "line,extra",
+        [
+            ("delay 0.1 junk", "junk"),
+            ("rotation 1 x pi/2 extra", "extra"),
+            ("jcoupling 1 2 pi/2 pi", "pi"),
+            ("gradient 1 2", "2"),
+        ],
+    )
+    def test_trailing_field_reports_line(self, line, extra):
+        with pytest.raises(ValueError, match=f"line 2: unexpected field '{extra}'"):
+            parse_sequence(f"delay 0.1\n{line}\n", SYSTEM)
+
+    @pytest.mark.parametrize(
+        "line,field",
+        [
+            ("gradient", "spins"),
+            ("rotation 1", "axis"),
+            ("rotation 1 x", "angle"),
+            ("jcoupling 1", "second spin"),
+            ("delay", "duration"),
+        ],
+    )
+    def test_short_line_names_the_missing_field(self, line, field):
+        with pytest.raises(ValueError, match=f"line 2: missing field '{field}'"):
+            parse_sequence(f"delay 0.1\n{line}\n", SYSTEM)
 
     def test_self_coupling_reports_line(self):
         with pytest.raises(ValueError, match="line 1: coupling needs two distinct spins"):

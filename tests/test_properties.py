@@ -1,11 +1,12 @@
 import importlib.util
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from test_stacked import _scalar_draws
+from test_stacked import _paged_draws
 from timeflow import properties
 from timeflow.circuits import TeleportCircuit, _evolution_chain, forward_oracle
 from timeflow.linalg import DEFAULT_TOL
@@ -65,13 +66,18 @@ def test_default_tolerance_except_exact_suites():
 
 
 def test_suite_names_match_benchmark_tracer():
-    # The traced benchmark run finds each suite as properties.check_<name>;
-    # a renamed suite would silently report zero spans there.
+    # The traced benchmark run finds each suite of one row as
+    # properties.check_<name>; a renamed suite would silently report zero
+    # spans there.  The three circuit rows share _circuit_rows.
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tuple(r.name for r in run_all(seed=0, trials=1)) == tracer.SUITES
-    assert tuple(fn.__name__ for fn in SUITES) == tuple(f"check_{s}" for s in tracer.SUITES)
+    assert tuple(name for name, _ in SUITES) == tracer.SUITES
+    for name, suite in SUITES:
+        circuit = name in ("chain_consistency", "semantics_equivalence", "probability_law")
+        one_row = getattr(properties, f"check_{name}", None)
+        assert suite is (properties._circuit_rows if circuit else one_row)
 
 
 @pytest.mark.parametrize("trials", [1, 9])
@@ -99,11 +105,11 @@ def test_haar_unitaries_drawn_per_run(monkeypatch, trials):
         "encoding_independence": 5 * trials,  # d = 2 only
     }
     counts = {}
-    for idx, fn in enumerate(SUITES):
+    for name, suite in SUITES:
         drawn.clear()
-        fn(np.random.default_rng([0, idx]), trials, dims, DEFAULT_TOL, time_reverse_gate)
+        suite(0, trials, dims, DEFAULT_TOL, time_reverse_gate)
         if drawn:
-            counts[fn.__name__[len("check_"):]] = sum(drawn)
+            counts[name] = sum(drawn)
     assert counts == expected
     drawn.clear()
     run_all(seed=0, trials=trials, dims=dims)
@@ -116,16 +122,18 @@ def test_haar_unitaries_drawn_per_run(monkeypatch, trials):
     "seed,trials,dims", [(7, 5, (2, 3)), (1, 50, (2, 3, 4, 8)), (12, 9, (4, 2)), (3, 6, (3,))]
 )
 def test_fused_circuit_rows_equal_the_standalone_suites(seed, trials, dims, faulty):
-    # Rows 7-9 come from one pass over the circuits of stream [seed, 7]; the
+    # The circuit rows come from one pass over the circuit pages (key 7); the
     # reference recomputes their deviations one circuit at a time.  Every
-    # other row is its suite on its own stream [seed, k].
+    # other row is its suite run alone.
     gate = properties.faulty_reverse_gate if faulty else properties._time_reverse_gate
     rows = run_all(seed=seed, trials=trials, dims=dims, faulty=faulty)
-    assert len(rows) == len(SUITES)
-    for k, (fn, row) in enumerate(zip(SUITES, rows)):
-        if k not in properties._CIRCUIT_ROWS:
-            assert row == fn(np.random.default_rng([seed, k]), trials, dims, DEFAULT_TOL, gate)
-    circuit_rows = [rows[k] for k in properties._CIRCUIT_ROWS]
+    assert [row.name for row in rows] == [name for name, _ in SUITES]
+    circuit_rows = []
+    for (name, suite), row in zip(SUITES, rows):
+        if suite is properties._circuit_rows:
+            circuit_rows.append(row)
+        else:
+            assert [row] == suite(seed, trials, dims, DEFAULT_TOL, gate)
     expected = _circuit_deviations_by_member(seed, trials, dims, gate)
     for row, dev in zip(circuit_rows, expected):
         assert row.trials == trials and row.tolerance == DEFAULT_TOL
@@ -137,14 +145,14 @@ def test_fused_circuit_rows_equal_the_standalone_suites(seed, trials, dims, faul
 
 def _circuit_deviations_by_member(seed, trials, dims, gate):
     """The chain, semantics and probability deviations, one circuit at a
-    time from the twin generator's draws: u, v, w, the unitaries of phi and
+    time from the twin generators' draws: u, v, w, the unitaries of phi and
     omega, then the input state.  Each encoding's return leg is compared with
     the closed form; the photon-number one with the oracle's designated
     outcome up to global phase, and with the oracle, against 1/d**2."""
-    draws = iter(_scalar_draws("chain_consistency", seed, trials, dims))
     chain = semantics = probability = 0.0
-    for _ in range(trials):
-        for d in dims:
+    for d in dims:
+        draws = iter(_paged_draws("chain_consistency", seed, trials, (d,)))
+        for _ in range(trials):
             u, v, w, phi, omega, psi = (next(draws) for _ in range(6))
             c = TeleportCircuit(d, u, v, w, phi.reshape(-1) / np.sqrt(d),
                                 omega.reshape(-1) / np.sqrt(d))
@@ -166,8 +174,8 @@ def _circuit_deviations_by_member(seed, trials, dims, gate):
 class _CountingGenerator:
     """A generator that records how many normals each call draws."""
 
-    def __init__(self, seed):
-        self.rng, self.sizes = np.random.default_rng(seed), []
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
 
     def standard_normal(self, shape):
         self.sizes.append(math.prod(shape))
@@ -185,17 +193,32 @@ class _CountingGenerator:
     ],
 )
 def test_blocks_hold_what_a_trial_draws(monkeypatch, name, per_trial):
-    # These suites draw no coins, so the block size moves no value; and a
-    # block draws no more than BLOCK_ELEMENTS normals.
-    fn = getattr(properties, f"check_{name}")
+    # These suites draw no coins, so the block size moves no value.  Each
+    # page of 64 trials has its own generator, and its blocks split it into
+    # runs of BLOCK_ELEMENTS normals or less, whole trials each.
+    suite = getattr(properties, f"check_{name}")
     dims, trials = (2, 3, 4, 8), 200
+    monkeypatch.setattr(properties, "P", 64)
     rows = []
     for block_elements in (2**10, 2**16):
         monkeypatch.setattr(properties, "BLOCK_ELEMENTS", block_elements)
-        rng = _CountingGenerator([4, block_elements])
-        rows.append(fn(rng, trials, dims, DEFAULT_TOL, time_reverse_gate))
-        per_block = block_elements // per_trial
-        assert rng.sizes == [
-            per_trial * min(per_block, trials - start) for start in range(0, trials, per_block)
-        ]
+        pages = {}
+
+        def counting(key, make=np.random.default_rng):
+            assert tuple(key) not in pages
+            return pages.setdefault(tuple(key), _CountingGenerator(make(key)))
+
+        with mock.patch.object(np.random, "default_rng", counting):
+            rows.append(suite(4, trials, dims, DEFAULT_TOL, time_reverse_gate))
+        drawn = 0
+        for (_, _, d, page), rng in pages.items():
+            size = min(64, trials - 64 * page)
+            per_d = sum(rng.sizes) // size
+            per_block = block_elements // per_d
+            assert rng.sizes == [
+                per_d * min(per_block, size - start) for start in range(0, size, per_block)
+            ]
+            drawn += sum(rng.sizes)
+        assert drawn == per_trial * trials
+        assert sorted({page for _, _, _, page in pages}) == [0, 1, 2, 3]
     assert rows[0] == rows[1]

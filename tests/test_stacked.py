@@ -5,9 +5,10 @@ suites run every trial of a block in one stacked call.  These tests keep the
 per-member loop as the reference: each stacked result must equal the loop to
 1e-12, and each suite must draw, bit for bit, the unitaries and states that a
 trial-by-trial loop of :func:`random_unitary` and :func:`random_state` draws
-from a twin generator.
+from a twin generator of each page, ``default_rng([seed, suite, d, page])``.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from oracles import entangled_basis
 from strategies import DIMS, encodings, stack, teleport_members
 from timeflow import circuits as circuits_module
 from timeflow import properties
+from timeflow.cli import main
 from timeflow.circuits import (
     TeleportCircuit,
     _evolution_chain,
@@ -211,33 +213,38 @@ def _circuit(d):
     return [("unitary", d)] * 5 + [("state", d)]
 
 
-# Per trial and dimension, what each normal-only suite draws in the scalar
-# order: ("unitary", d) is random_unitary, ("state", n) is random_state, and
-# ("normals", shape) is a plain complex Gaussian matrix the suites do not
-# hand to either constructor.  A maximally entangled pair is one unitary, and
-# a circuit is u, v, w, the unitaries of phi and omega, then its input state.
+# Per suite: its key, the dimensions it draws at whatever --dims says (None
+# for every --dims entry), and what one trial draws at dimension d, in the
+# scalar order: ("unitary", d) is random_unitary, ("state", n) is
+# random_state, and ("normals", shape) is a plain complex Gaussian matrix the
+# suites do not hand to either constructor.  A maximally entangled pair is
+# one unitary, and a circuit is u, v, w, the unitaries of phi and omega, then
+# its input state; encoding_independence reads the circuit pages.
 DRAWS = {
     "correspondence_roundtrip": (
-        None, lambda d: [("state", d * d), ("normals", (2, d, d))]
+        0, None, lambda d: [("state", d * d), ("normals", (2, d, d))]
     ),
-    "entanglement_unitarity": (None, lambda d: [("unitary", d), ("state", d * d)]),
-    "local_frame_relation": ((2,), lambda d: [("unitary", d)] * 3),
-    "spin_flip": ((2,), lambda d: [("state", d)]),
-    "double_reversal": ((2,), lambda d: [("unitary", d)] * 3),
-    "chain_consistency": (None, _circuit),
-    "semantics_equivalence": (None, _circuit),
-    "probability_law": (None, _circuit),
-    "encoding_independence": ((2,), _circuit),
+    "entanglement_unitarity": (2, None, lambda d: [("unitary", d), ("state", d * d)]),
+    "local_frame_relation": (3, (2,), lambda d: [("unitary", d)] * 3),
+    "spin_flip": (5, (2,), lambda d: [("state", d)]),
+    "double_reversal": (6, (2,), lambda d: [("unitary", d)] * 3),
+    "chain_consistency": (7, None, _circuit),
+    "semantics_equivalence": (7, None, _circuit),
+    "probability_law": (7, None, _circuit),
+    "encoding_independence": (7, (2,), _circuit),
 }
-SUITE_INDEX = {fn.__name__[len("check_"):]: k for k, fn in enumerate(properties.SUITES)}
 
 
-def _scalar_draws(name, seed, trials, dims):
-    own_dims, recipe = DRAWS[name]
-    twin = np.random.default_rng([seed, SUITE_INDEX[name]])
+def _paged_draws(name, seed, trials, dims):
+    """What suite ``name`` hands its constructors, dimension by dimension and
+    trial by trial, from a twin generator per page of ``properties.P``
+    trials."""
+    key, own_dims, recipe = DRAWS[name]
     out = []
-    for _ in range(trials):
-        for d in own_dims or dims:
+    for d in own_dims or dims:
+        for t in range(trials):
+            if t % properties.P == 0:
+                twin = np.random.default_rng([seed, key, d, t // properties.P])
             for kind, arg in recipe(d):
                 if kind == "unitary":
                     out.append(random_unitary(arg, twin))
@@ -250,77 +257,80 @@ def _scalar_draws(name, seed, trials, dims):
 
 def _stacked_draws(monkeypatch, name, seed, trials, dims):
     """Run the suite and record what its constructors return, member by
-    member in the order of the trials."""
+    member in the order of the trials, block by block."""
     calls = []
     for ctor, tail in (("haar_unitary", 2), ("gaussian_state", 1)):
         fn = getattr(properties, ctor)
 
         def record(normals, fn=fn, tail=tail):
             out = fn(normals)
-            calls.append(out.reshape(out.shape[0], -1, *out.shape[-tail:]))
+            calls[-1].append(out.reshape(out.shape[0], -1, *out.shape[-tail:]))
             return out
 
         monkeypatch.setattr(properties, ctor, record)
-    suite = properties.SUITES[SUITE_INDEX[name]]
-    suite(np.random.default_rng([seed, SUITE_INDEX[name]]), trials, dims, 1e-9,
-          time_reverse_gate)
-    blocks = -(-trials // calls[0].shape[0])
-    size = len(calls) // blocks
-    out = []
-    for start in range(0, len(calls), size):
-        block = calls[start:start + size]
-        for i in range(block[0].shape[0]):
-            for arrays in block:
-                out.extend(arrays[i])
-    return out
+
+    def blocks(*args, fn=properties._blocks):
+        for block in fn(*args):
+            calls.append([])
+            yield block
+
+    monkeypatch.setattr(properties, "_blocks", blocks)
+    dict(properties.SUITES)[name](seed, trials, dims, 1e-9, time_reverse_gate)
+    return [m for block in calls for i in range(len(block[0])) for a in block for m in a[i]]
 
 
 @pytest.mark.parametrize("name", sorted(DRAWS))
 @pytest.mark.parametrize("one_per_block", [False, True])
 def test_suite_draws_equal_a_scalar_loop(monkeypatch, name, one_per_block):
+    # Pages of 3 trials, so 7 trials span three pages.
     if one_per_block:
         monkeypatch.setattr(properties, "BLOCK_ELEMENTS", 1)
-    seed, trials, dims = 11, 4, (2, 3)
+    monkeypatch.setattr(properties, "P", 3)
+    seed, trials, dims = 11, 7, (2, 3)
     stacked = _stacked_draws(monkeypatch, name, seed, trials, dims)
-    scalar = _scalar_draws(name, seed, trials, dims)
+    scalar = _paged_draws(name, seed, trials, dims)
     assert len(stacked) == len(scalar)
     assert all(np.array_equal(a, b) for a, b in zip(stacked, scalar))
 
 
-def _scalar_backward_inputs(seed, trials, dims):
+@pytest.mark.parametrize("block_elements", [1, 2**10, 2**16])
+def test_pages_hold_p_trials(monkeypatch, block_elements):
+    # At the shipped page size, trial P opens the second page whether a block
+    # holds one trial, part of a page or the whole page.
+    monkeypatch.setattr(properties, "BLOCK_ELEMENTS", block_elements)
+    assert properties.P == 1024
+    trials = properties.P + 6
+    stacked = _stacked_draws(monkeypatch, "spin_flip", 5, trials, (2,))
+    scalar = _paged_draws("spin_flip", 5, trials, (2,))
+    assert len(stacked) == len(scalar) == trials
+    assert all(np.array_equal(a, b) for a, b in zip(stacked, scalar))
+
+
+def _paged_backward_inputs(seed, trials, dims):
     """``backward_consistency``'s ``(psi, phi)`` per member from a twin
-    generator.  Per block, each trial draws per dimension a state, the
-    unitary of a maximally entangled pair and a random pair state; then each
-    dimension draws one uniform per trial, and below 0.5 the maximally
-    entangled pair is the one used."""
-    twin = np.random.default_rng([seed, SUITE_INDEX["backward_consistency"]])
-    per_block = max(1, properties.BLOCK_ELEMENTS // max(dims) ** 3)
+    generator per page.  Each trial draws a state, the unitary of a maximally
+    entangled pair, a random pair state and one coin normal; below zero the
+    maximally entangled pair is the one used."""
     out = []
-    for start in range(0, trials, per_block):
-        drawn = [
-            [
-                (
-                    random_state(d, twin),
-                    random_unitary(d, twin).reshape(-1) / np.sqrt(d),
-                    random_state(d * d, twin),
-                )
-                for d in dims
-            ]
-            for _ in range(min(per_block, trials - start))
-        ]
-        for k in range(len(dims)):
-            coins = twin.random(len(drawn))
-            for (psi, pair, state), coin in zip((trial[k] for trial in drawn), coins):
-                out.append((psi, pair if coin < 0.5 else state))
+    for d in dims:
+        for t in range(trials):
+            if t % properties.P == 0:
+                twin = np.random.default_rng([seed, 1, d, t // properties.P])
+            psi = random_state(d, twin)
+            pair = random_unitary(d, twin).reshape(-1) / np.sqrt(d)
+            state = random_state(d * d, twin)
+            out.append((psi, pair if twin.standard_normal() < 0 else state))
     return out
 
 
-# default blocks, one trial per block, and blocks of 4 then 2 trials
-@pytest.mark.parametrize("block_elements", [None, 1, 4 * 3**3])
+# default blocks, one trial per block, blocks of 6 and 1 trials of a 7-trial
+# page at d = 2 (and single trials at d = 3), and blocks of whole pages
+@pytest.mark.parametrize("block_elements", [None, 1, 4 * 3**3, 2**10])
 def test_backward_draws_equal_a_scalar_loop(monkeypatch, block_elements):
     if block_elements:
         monkeypatch.setattr(properties, "BLOCK_ELEMENTS", block_elements)
-    seed, trials, dims = 11, 6, (2, 3)
+    monkeypatch.setattr(properties, "P", 7)
+    seed, trials, dims = 11, 16, (2, 3)
     stacked = []
 
     def record(psi, phi, fn=properties.backward_state):
@@ -328,10 +338,8 @@ def test_backward_draws_equal_a_scalar_loop(monkeypatch, block_elements):
         return fn(psi, phi)
 
     monkeypatch.setattr(properties, "backward_state", record)
-    suite = properties.SUITES[SUITE_INDEX["backward_consistency"]]
-    suite(np.random.default_rng([seed, SUITE_INDEX["backward_consistency"]]), trials,
-          dims, 1e-9, time_reverse_gate)
-    scalar = _scalar_backward_inputs(seed, trials, dims)
+    properties.check_backward_consistency(seed, trials, dims, 1e-9, time_reverse_gate)
+    scalar = _paged_backward_inputs(seed, trials, dims)
     assert len(stacked) == len(scalar) == trials * len(dims)
     assert all(
         np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -342,14 +350,31 @@ def test_backward_draws_equal_a_scalar_loop(monkeypatch, block_elements):
 
 
 @pytest.mark.parametrize("faulty", [False, True])
-def test_block_size_does_not_change_the_report(monkeypatch, faulty):
-    dims = (2, 3, 4)
-    whole = properties.run_all(seed=8, trials=6, dims=dims, faulty=faulty)
-    monkeypatch.setattr(properties, "BLOCK_ELEMENTS", 1)
-    single = properties.run_all(seed=8, trials=6, dims=dims, faulty=faulty)
-    for a, b in zip(whole, single):
-        assert (a.name, a.trials, a.passed) == (b.name, b.trials, b.passed)
-        assert abs(a.max_deviation - b.max_deviation) <= TOL
+def test_block_size_does_not_change_the_report(monkeypatch, tmp_path, faulty):
+    # Pages of 5 trials, so blocks of one trial, part of a page (d = 4 in the
+    # d**4 suites at 2**10) and whole pages all occur.
+    monkeypatch.setattr(properties, "P", 5)
+    argv = ["verify", "--trials", "12", "--dims", "2,3,4", "--seed", "8"]
+    reports = []
+    for block_elements in (1, 2**10, 2**16, 2**18):
+        monkeypatch.setattr(properties, "BLOCK_ELEMENTS", block_elements)
+        out = tmp_path / f"{block_elements}.json"
+        main(argv + ["--inject-fault"] * faulty + ["--out", str(out)])
+        reports.append(out.read_bytes())
+    assert reports == reports[:1] * 4
+    assert json.loads(reports[0])["all_pass"] != faulty
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_dimension_is_drawn_and_checked_alone(seed, faulty):
+    # verify's benchmark size: every row of a --dims 2,3,4,8 run reads the
+    # worst of the four single-dimension runs.
+    whole = properties.run_all(seed=seed, trials=50, dims=(2, 3, 4, 8), faulty=faulty)
+    alone = [properties.run_all(seed=seed, trials=50, dims=(d,), faulty=faulty)
+             for d in (2, 3, 4, 8)]
+    for k, row in enumerate(whole):
+        assert row.max_deviation == max(rows[k].max_deviation for rows in alone), row.name
 
 
 @pytest.mark.parametrize("d", DIMS)
