@@ -126,15 +126,15 @@ def _blocks(seed, suite, d, trials, shapes, cost=None):
     that each trial at dimension ``d`` draws from its page's generator.  A
     block is one draw of at most ``max(1, BLOCK_ELEMENTS // cost)`` trials of
     one page; ``cost`` defaults to the normals one trial draws."""
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
     per_block = max(1, BLOCK_ELEMENTS // (cost or int(ends[-1])))
     for first in range(0, trials, P):
         rng = np.random.default_rng([seed, suite, d, first // P])
         page = min(P, trials - first)
         for start in range(0, page, per_block):
             b = min(per_block, page - start)
-            parts = np.split(rng.standard_normal((b, ends[-1])), ends[:-1], axis=1)
-            yield [part.reshape(b, *shape) for part, shape in zip(parts, shapes)]
+            normals = rng.standard_normal((b, ends[-1]))
+            yield [normals[:, lo:hi].reshape(b, *s) for lo, hi, s in zip(ends, ends[1:], shapes)]
 
 
 def _circuit_draws(seed, trials, d):
@@ -206,8 +206,8 @@ def check_local_frame_relation(seed, trials, dims, tol, reverse_gate):
 
 def check_conjugation_sign(seed, trials, dims, tol, reverse_gate):
     """The reversal unitary's conjugation sign squares to one, exactly."""
-    encodings = [e for alpha in ALPHA_PHASES
-                 for e in (spin_half(alpha), photon_number(2), photon_number(3))]
+    photons = (photon_number(2), photon_number(3))
+    encodings = [e for alpha in ALPHA_PHASES for e in (spin_half(alpha), *photons)]
     signs = [(conjugation_sign(e.matrix), e.sign) for e in encodings]
     dev = max(max(abs(g * g - 1), abs(g - sign)) for g, sign in signs)
     return [_result("conjugation_sign", len(encodings), dev, 0.0)]

@@ -128,8 +128,9 @@ class TestSpinSystemFile:
             lambda: parse_spin_system(f"spins 2\nlarmor 0.0 1.0\nj 1 1 {value}\n"),
         ]
         if value:
-            for build, message in zip(builds, ["spin 0", "spin 0", "line 3: self-coupling of spin 1"]):
-                with pytest.raises(ValueError, match=f"{message}.* must be zero, got 5.0"):
+            for build, where in zip(builds, ["", "", "line 3: "]):
+                spin = 1 if where else 0
+                with pytest.raises(ValueError, match=f"{where}self-coupling of spin {spin} must be"):
                     build()
         else:
             assert all(np.array_equal(build().j, np.zeros((2, 2))) for build in builds)
