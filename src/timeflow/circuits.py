@@ -159,8 +159,11 @@ def _evolution_chain(c: TeleportCircuit, psi: np.ndarray, e: Encoding, reverse_g
     ``reverse_gate(u, e)`` supplies the reversed-clock form of a gate; the
     production entry point passes the unchecked kernel of
     :func:`timeflow.reversal.time_reverse_gate`.  Each leg has the batch
-    shape of the circuit and ``psi``.  The circuit's gates and pairs are not
-    re-validated: :class:`TeleportCircuit` checked them on construction.
+    shape of the circuit and ``psi``; an ``e`` whose matrix stacks several
+    encodings' as ``(k, 1, d, d)`` adds a leading axis of k to every leg but
+    the closed form, which does not depend on ``e``.  The circuit's gates and
+    pairs are not re-validated: :class:`TeleportCircuit` checked them on
+    construction.
     """
     psi = _check_input(c, psi)
     d = c.d

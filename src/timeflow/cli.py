@@ -42,9 +42,7 @@ DEFAULT_SEED = 1234
 # 2 sqrt(points) complex exponentials per observed line, so 2**16 points of a
 # 10-spin state's 512 lines peak near 6 MiB.
 MAX_POINTS = 2**16
-# Largest --dims entry: two verify suites hold d**4 complex elements per
-# trial, 16 MiB at d = 32 and 256 MiB at d = 64.
-MAX_DIM = 32
+MAX_DIM = properties.MAX_DIM  # largest --dims entry
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -138,6 +136,9 @@ def cmd_verify(args) -> int:
         raise ValueError("--dims entries must be at least 2")
     if max(dims) > MAX_DIM:
         raise ValueError(f"--dims entry {max(dims)} exceeds the limit of {MAX_DIM}")
+    for k, d in enumerate(dims):
+        if d in dims[:k]:
+            raise ValueError(f"--dims entry {d} is repeated")
     results = properties.run_all(
         seed=args.seed,
         trials=args.trials,

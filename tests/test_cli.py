@@ -72,6 +72,16 @@ class TestVerify:
         entry = max(int(d) for d in dims.split(","))
         assert f"--dims entry {entry} exceeds the limit of {MAX_DIM}" in captured.err
 
+    @pytest.mark.parametrize("dims,entry", [("2,2", 2), ("3,4,8,4", 4), ("2,3,2,3", 2)])
+    def test_repeated_dims_entry_rejected_before_drawing(self, capsys, monkeypatch, dims, entry):
+        # a repeat would check the same keyed trials twice and count them twice
+        monkeypatch.setattr(properties, "run_all", lambda **_: pytest.fail("suites ran"))
+        code = main(["verify", "--dims", dims, "--trials", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--dims entry {entry} is repeated" in captured.err
+
     def test_dims_at_the_limit_reach_the_suites(self, capsys, monkeypatch):
         seen = []
         monkeypatch.setattr(properties, "run_all", lambda **kw: seen.append(kw["dims"]) or [])

@@ -1,10 +1,12 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from timeflow.formats import (
+    _FIELDS,
     load_circuit,
     parse_angle,
     parse_circuit,
@@ -384,3 +386,14 @@ def test_vector_pairs_roundtrip():
     pairs = vector_pairs(v)
     assert pairs == [[1.0, 2.0], [0.0, -0.5]]
     assert json.loads(json.dumps(pairs)) == pairs
+
+
+def test_field_table_in_the_docs_matches_the_parser():
+    # docs/file-formats.md names each line's fields in a table; larmor's one
+    # value per spin is the only row the parser counts instead of naming.
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "file-formats.md").read_text()
+    table_text = re.search(r"^\| keyword .*?\n\n", doc, flags=re.MULTILINE | re.DOTALL)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| (.+?) +\|$", table_text, flags=re.MULTILINE)
+    table = {key: tuple(re.findall(r"`([^`]+)`", fields)) for key, fields in rows}
+    assert table.pop("larmor") == ()
+    assert table == _FIELDS

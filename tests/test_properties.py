@@ -6,12 +6,31 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from test_stacked import _paged_draws
+from test_stacked import _twins
 from timeflow import properties
 from timeflow.circuits import TeleportCircuit, _evolution_chain, forward_oracle
-from timeflow.linalg import DEFAULT_TOL
+from timeflow.linalg import (
+    DEFAULT_TOL,
+    INPUT_TOL,
+    partial_trace,
+    random_state,
+    random_unitary,
+)
 from timeflow.properties import SUITES, run_all
-from timeflow.reversal import photon_number, spin_half, time_reverse_gate
+from timeflow.reversal import (
+    amplitude_matrix,
+    backward_state,
+    canonical_pair,
+    conjugation_sign,
+    is_maximally_entangled,
+    local_frame_gate,
+    photon_number,
+    spin_expectations,
+    spin_half,
+    state_of_matrix,
+    time_reverse_gate,
+    time_reverse_state,
+)
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -65,25 +84,36 @@ def test_default_tolerance_except_exact_suites():
     assert set(tolerances.values()) == {DEFAULT_TOL}
 
 
+def _passes():
+    """Each pass of the report table with the name of its first row."""
+    first = {}
+    for name, suite in SUITES:
+        first.setdefault(suite, name)
+    return first
+
+
 def test_suite_names_match_benchmark_tracer():
-    # The traced benchmark run finds each suite of one row as
-    # properties.check_<name>; a renamed suite would silently report zero
-    # spans there.  The three circuit rows share _circuit_rows.
+    # The traced benchmark run times properties.check_<row> for each row; a
+    # pass is found there under its first row's name, and a renamed pass
+    # would silently report zero spans.
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tuple(r.name for r in run_all(seed=0, trials=1)) == tracer.SUITES
     assert tuple(name for name, _ in SUITES) == tracer.SUITES
-    for name, suite in SUITES:
-        circuit = name in ("chain_consistency", "semantics_equivalence", "probability_law")
-        one_row = getattr(properties, f"check_{name}", None)
-        assert suite is (properties._circuit_rows if circuit else one_row)
+    passes = _passes()
+    assert len(passes) == 6
+    for suite, name in passes.items():
+        assert getattr(properties, f"check_{name}") is suite
 
 
 @pytest.mark.parametrize("trials", [1, 9])
 def test_haar_unitaries_drawn_per_run(monkeypatch, trials):
-    # Five per circuit (u, v, w and one per pair) and one per maximally
-    # entangled pair: a second unitary per pair would show up here.
+    # One per trial of the key-1 pass (its maximally entangled pair), one per
+    # trial and d = 2 encoding of the key-3 pass (pair and gate in one) and
+    # five per circuit (u, v, w and one per pair), whose pass also draws
+    # d = 2 when --dims lacks it: a second unitary per pair, or a second draw
+    # of a page, would show up here.
     drawn = []
 
     def counting(normals, fn=properties.haar_unitary):
@@ -92,29 +122,22 @@ def test_haar_unitaries_drawn_per_run(monkeypatch, trials):
         return out
 
     monkeypatch.setattr(properties, "haar_unitary", counting)
-    dims = (2, 3, 4, 8)
-    per_dim = trials * len(dims)
-    expected = {
-        "backward_consistency": per_dim,
-        "entanglement_unitarity": per_dim,
-        "local_frame_relation": 3 * trials,  # one pair per d = 2 encoding
-        "double_reversal": 3 * trials,  # one gate per d = 2 encoding
-        "chain_consistency": 5 * per_dim,
-        "semantics_equivalence": 5 * per_dim,
-        "probability_law": 5 * per_dim,
-        "encoding_independence": 5 * trials,  # d = 2 only
-    }
-    counts = {}
-    for name, suite in SUITES:
+    for dims, circuit_dims in [((2, 3, 4, 8), 4), ((3, 4, 8), 4), ((2,), 1)]:
+        expected = {
+            "backward_consistency": trials * len(dims),
+            "local_frame_relation": 3 * trials,
+            "chain_consistency": 5 * trials * circuit_dims,
+        }
+        counts = {}
+        for suite, name in _passes().items():
+            drawn.clear()
+            suite(0, trials, dims, DEFAULT_TOL, time_reverse_gate)
+            if drawn:
+                counts[name] = sum(drawn)
+        assert counts == expected
         drawn.clear()
-        suite(0, trials, dims, DEFAULT_TOL, time_reverse_gate)
-        if drawn:
-            counts[name] = sum(drawn)
-    assert counts == expected
-    drawn.clear()
-    run_all(seed=0, trials=trials, dims=dims)
-    # the three circuit suites share one draw of circuits
-    assert sum(drawn) == sum(expected.values()) - 10 * per_dim
+        run_all(seed=0, trials=trials, dims=dims)
+        assert sum(drawn) == sum(expected.values())
 
 
 @pytest.mark.parametrize("faulty", [False, True])
@@ -122,53 +145,134 @@ def test_haar_unitaries_drawn_per_run(monkeypatch, trials):
     "seed,trials,dims", [(7, 5, (2, 3)), (1, 50, (2, 3, 4, 8)), (12, 9, (4, 2)), (3, 6, (3,))]
 )
 def test_fused_circuit_rows_equal_the_standalone_suites(seed, trials, dims, faulty):
-    # The circuit rows come from one pass over the circuit pages (key 7); the
-    # reference recomputes their deviations one circuit at a time.  Every
-    # other row is its suite run alone.
+    # Every row is what its pass reports when run alone, and what a
+    # recomputation one trial at a time from the twin generators gives.
     gate = properties.faulty_reverse_gate if faulty else properties._time_reverse_gate
     rows = run_all(seed=seed, trials=trials, dims=dims, faulty=faulty)
     assert [row.name for row in rows] == [name for name, _ in SUITES]
-    circuit_rows = []
-    for (name, suite), row in zip(SUITES, rows):
-        if suite is properties._circuit_rows:
-            circuit_rows.append(row)
-        else:
-            assert [row] == suite(seed, trials, dims, DEFAULT_TOL, gate)
-    expected = _circuit_deviations_by_member(seed, trials, dims, gate)
-    for row, dev in zip(circuit_rows, expected):
-        assert row.trials == trials and row.tolerance == DEFAULT_TOL
-        assert abs(row.max_deviation - dev) <= 1e-12
-        assert row.passed == (row.max_deviation <= DEFAULT_TOL)
+    for (_, suite), row in zip(SUITES, rows):
+        assert row in suite(seed, trials, dims, DEFAULT_TOL, gate)
+    _assert_rows_by_member(rows, seed, trials, dims, gate)
     # an injected fault must show in the chain rows, or the test compares zeros
-    assert (circuit_rows[0].max_deviation > 1e-3) == faulty
+    by_name = {row.name: row for row in rows}
+    assert (by_name["chain_consistency"].max_deviation > 1e-3) == faulty
 
 
-def _circuit_deviations_by_member(seed, trials, dims, gate):
-    """The chain, semantics and probability deviations, one circuit at a
-    time from the twin generators' draws: u, v, w, the unitaries of phi and
-    omega, then the input state.  Each encoding's return leg is compared with
-    the closed form; the photon-number one with the oracle's designated
-    outcome up to global phase, and with the oracle, against 1/d**2."""
-    chain = semantics = probability = 0.0
+@pytest.mark.parametrize("dims", [(2, 3, 8), (4, 3)])
+@pytest.mark.parametrize("faulty", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_pass_equals_a_per_trial_recomputation(monkeypatch, seed, faulty, dims):
+    # Pages of 5 trials, so 12 trials span three pages; (4, 3) lacks d = 2,
+    # which the circuit pass then draws for encoding_independence alone.
+    monkeypatch.setattr(properties, "P", 5)
+    gate = properties.faulty_reverse_gate if faulty else properties._time_reverse_gate
+    rows = run_all(seed=seed, trials=12, dims=dims, faulty=faulty)
+    _assert_rows_by_member(rows, seed, 12, dims, gate)
+    failing = {row.name for row in rows if not row.passed}
+    assert failing == ({"chain_consistency", "semantics_equivalence",
+                        "encoding_independence"} if faulty else set())
+
+
+def _assert_rows_by_member(rows, seed, trials, dims, gate):
+    expected = _rows_by_member(seed, trials, dims, gate)
+    assert [row.name for row in rows] == list(expected)
+    exact = {"entanglement_unitarity", "conjugation_sign"}
+    for row in rows:
+        count, dev = expected[row.name]
+        assert row.trials == count, row.name
+        assert row.tolerance == (0.0 if row.name in exact else DEFAULT_TOL)
+        if row.name in exact:
+            assert row.max_deviation == dev, row.name
+        else:
+            assert abs(row.max_deviation - dev) <= 1e-12, row.name
+        assert row.passed == (row.max_deviation <= row.tolerance)
+
+
+def _rows_by_member(seed, trials, dims, gate):
+    """Every row's trial count and deviation, one trial at a time from the
+    public scalar API on the twin generators' draws, with encodings built
+    afresh."""
+    d2 = [photon_number(2), spin_half(1.0), spin_half(1j)]
+    spins = [spin_half(alpha) for alpha in properties.ALPHA_PHASES]
+    rows = dict.fromkeys((name for name, _ in SUITES), 0.0)
     for d in dims:
-        draws = iter(_paged_draws("chain_consistency", seed, trials, (d,)))
-        for _ in range(trials):
-            u, v, w, phi, omega, psi = (next(draws) for _ in range(6))
+        for twin in _twins(seed, 0, d, trials):
+            phi = random_state(d * d, twin)
+            normals = twin.standard_normal((2, d, d))
+            q = normals[0] + 1j * normals[1]
+            rows["correspondence_roundtrip"] = max(
+                rows["correspondence_roundtrip"],
+                np.max(np.abs(state_of_matrix(amplitude_matrix(phi)) - phi)),
+                np.max(np.abs(amplitude_matrix(state_of_matrix(q)) - q)),
+            )
+        for twin in _twins(seed, 1, d, trials):
+            psi = random_state(d, twin)
+            pair = random_unitary(d, twin).reshape(-1) / np.sqrt(d)
+            state = random_state(d * d, twin)
+            phi = pair if twin.standard_normal() < 0 else state
+            rho, psi_bar = backward_state(psi, phi)
+            rows["backward_consistency"] = max(
+                rows["backward_consistency"], np.max(np.abs(rho - np.outer(psi_bar, psi_bar.conj())))
+            )
+            for p, maximal in ((pair, True), (state, None)):
+                reduced = partial_trace(np.outer(p, p.conj()), [d, d], keep=(1,))
+                ent = np.max(np.abs(d * reduced - np.eye(d))) <= INPUT_TOL
+                uni = is_maximally_entangled(p, INPUT_TOL)
+                rows["entanglement_unitarity"] += ent != uni or maximal not in (None, ent)
+    for twin in _twins(seed, 3, 2, trials):
+        for e in d2:
+            v = random_unitary(2, twin)
+            pair = v.reshape(-1) / np.sqrt(2)
+            rebuilt = np.kron(local_frame_gate(pair, e), np.eye(2)) @ canonical_pair(e)
+            rows["local_frame_relation"] = max(
+                rows["local_frame_relation"], np.max(np.abs(rebuilt - pair))
+            )
+            twice = time_reverse_gate(time_reverse_gate(v, e), e)
+            rows["double_reversal"] = max(rows["double_reversal"], np.max(np.abs(twice - v)))
+    for twin in _twins(seed, 5, 2, trials):
+        psi = random_state(2, twin)
+        flipped = spin_expectations(time_reverse_state(psi, spin_half()))
+        rows["spin_flip"] = max(
+            rows["spin_flip"], np.max(np.abs(flipped + spin_expectations(psi)))
+        )
+    # each phase is listed with both photon-number encodings
+    signs = [(conjugation_sign(e.matrix), e.sign)
+             for s in spins for e in (s, photon_number(2), photon_number(3))]
+    rows["conjugation_sign"] = max(max(abs(g * g - 1), abs(g - s)) for g, s in signs)
+    for d in dict.fromkeys((*dims, 2)):
+        for twin in _twins(seed, 7, d, trials):
+            u, v, w, phi, omega = (random_unitary(d, twin) for _ in range(5))
+            psi = random_state(d, twin)
             c = TeleportCircuit(d, u, v, w, phi.reshape(-1) / np.sqrt(d),
                                 omega.reshape(-1) / np.sqrt(d))
-            encodings = [photon_number(d)] + ([spin_half(1.0), spin_half(1j)] if d == 2 else [])
-            chains = [dict(_evolution_chain(c, psi, e, gate)) for e in encodings]
-            for legs in chains:
-                chain = max(chain, np.max(np.abs(legs["return_leg"] - legs["closed_form"])))
-            ret = chains[0]["return_leg"]
+            ret = _evolution_chain(c, psi, photon_number(d), gate)[3][1]
+            if d == 2:
+                for e in spins:
+                    out = _evolution_chain(c, psi, e, gate)[3][1]
+                    rows["encoding_independence"] = max(
+                        rows["encoding_independence"], np.max(np.abs(out - ret))
+                    )
+            if d not in dims:
+                continue
+            for e in d2 if d == 2 else [photon_number(d)]:
+                legs = dict(_evolution_chain(c, psi, e, gate))
+                rows["chain_consistency"] = max(
+                    rows["chain_consistency"],
+                    np.max(np.abs(legs["return_leg"] - legs["closed_form"])),
+                )
             oracle = forward_oracle(c, psi)
             raw = oracle[0].raw
             overlap = abs(np.vdot(ret, raw)) / (np.linalg.norm(ret) * np.linalg.norm(raw))
-            semantics = max(semantics, 1.0 - overlap)
+            rows["semantics_equivalence"] = max(rows["semantics_equivalence"], 1.0 - overlap)
             probs = [rep.probability for rep in oracle.values()]
-            probability = max(probability, abs(np.linalg.norm(ret) ** 2 - 1 / d**2),
-                              abs(sum(probs) - 1.0), *(abs(q - 1 / d**2) for q in probs))
-    return chain, semantics, probability
+            rows["probability_law"] = max(
+                rows["probability_law"], abs(np.linalg.norm(ret) ** 2 - 1 / d**2),
+                abs(sum(probs) - 1.0), *(abs(q - 1 / d**2) for q in probs),
+            )
+    counts = dict.fromkeys(rows, trials)
+    counts["entanglement_unitarity"] = 2 * trials * len(dims)
+    counts["conjugation_sign"] = len(signs)
+    return {name: (counts[name], rows[name]) for name in rows}
 
 
 class _CountingGenerator:
@@ -193,10 +297,10 @@ class _CountingGenerator:
     ],
 )
 def test_blocks_hold_what_a_trial_draws(monkeypatch, name, per_trial):
-    # These suites draw no coins, so the block size moves no value.  Each
+    # These passes draw no coins, so the block size moves no value.  Each
     # page of 64 trials has its own generator, and its blocks split it into
     # runs of BLOCK_ELEMENTS normals or less, whole trials each.
-    suite = getattr(properties, f"check_{name}")
+    suite = dict(SUITES)[name]
     dims, trials = (2, 3, 4, 8), 200
     monkeypatch.setattr(properties, "P", 64)
     rows = []

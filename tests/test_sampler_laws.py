@@ -72,7 +72,8 @@ def test_gaussian_state_moments(d):
 
 @pytest.mark.parametrize("d", DIMS)
 def test_pair_law_matches_two_local_unitaries(d):
-    pairs = _pairs(np.random.default_rng([2006, d]).standard_normal((DRAWS // 2, 2, d, d)))
+    normals = np.random.default_rng([2006, d]).standard_normal((DRAWS // 2, 2, d, d))
+    pairs = _pairs(haar_unitary(normals))
     # (a (x) b) sum_k |kk> / sqrt(d) has amplitudes (a b^T)_ij / sqrt(d); the
     # two halves of the Haar sample are independent of each other and of pairs
     a, b = np.split(_unitaries(d), 2)

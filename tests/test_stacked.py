@@ -3,9 +3,10 @@
 The circuit and reversal kernels take leading batch axes, and the verify
 suites run every trial of a block in one stacked call.  These tests keep the
 per-member loop as the reference: each stacked result must equal the loop to
-1e-12, and each suite must draw, bit for bit, the unitaries and states that a
-trial-by-trial loop of :func:`random_unitary` and :func:`random_state` draws
-from a twin generator of each page, ``default_rng([seed, suite, d, page])``.
+1e-12, and each verify pass must draw, bit for bit, the unitaries and states
+that a trial-by-trial loop of :func:`random_unitary` and :func:`random_state`
+draws from a twin generator of each page, ``default_rng([seed, key, d,
+page])``.
 """
 
 import json
@@ -30,6 +31,8 @@ from timeflow.circuits import (
     timeflow_trace,
 )
 from timeflow.linalg import (
+    gaussian_state,
+    haar_unitary,
     is_unitary,
     partial_trace,
     phase_distance,
@@ -44,6 +47,7 @@ from timeflow.reversal import (
     is_maximally_entangled,
     local_frame_gate,
     photon_number,
+    spin_half,
     spin_expectations,
     state_of_matrix,
     time_reverse_gate,
@@ -213,38 +217,61 @@ def _circuit(d):
     return [("unitary", d)] * 5 + [("state", d)]
 
 
-# Per suite: its key, the dimensions it draws at whatever --dims says (None
-# for every --dims entry), and what one trial draws at dimension d, in the
-# scalar order: ("unitary", d) is random_unitary, ("state", n) is
-# random_state, and ("normals", shape) is a plain complex Gaussian matrix the
-# suites do not hand to either constructor.  A maximally entangled pair is
-# one unitary, and a circuit is u, v, w, the unitaries of phi and omega, then
-# its input state; encoding_independence reads the circuit pages.
+def _pair_trial(d):
+    return [("state", d), ("unitary", d), ("state", d * d), ("normals", ())]
+
+
+def _every(dims):
+    return dims
+
+
+def _only_2(dims):
+    return (2,)
+
+
+def _with_2(dims):
+    return tuple(dict.fromkeys((*dims, 2)))
+
+
+# Per row: its pass's key, the dimensions that pass draws at for a given
+# --dims, and what one trial draws at dimension d, in the scalar order:
+# ("unitary", d) is random_unitary, ("state", n) is random_state, and
+# ("normals", shape) is plain normals the pass hands to neither constructor.
+# A maximally entangled pair is one unitary, and a circuit is u, v, w, the
+# unitaries of phi and omega, then its input state.  The rows of one pass
+# share its entry.
 DRAWS = {
     "correspondence_roundtrip": (
-        0, None, lambda d: [("state", d * d), ("normals", (2, d, d))]
+        0, _every, lambda d: [("state", d * d), ("normals", (2, d, d))]
     ),
-    "entanglement_unitarity": (2, None, lambda d: [("unitary", d), ("state", d * d)]),
-    "local_frame_relation": (3, (2,), lambda d: [("unitary", d)] * 3),
-    "spin_flip": (5, (2,), lambda d: [("state", d)]),
-    "double_reversal": (6, (2,), lambda d: [("unitary", d)] * 3),
-    "chain_consistency": (7, None, _circuit),
-    "semantics_equivalence": (7, None, _circuit),
-    "probability_law": (7, None, _circuit),
-    "encoding_independence": (7, (2,), _circuit),
+    "backward_consistency": (1, _every, _pair_trial),
+    "entanglement_unitarity": (1, _every, _pair_trial),
+    "local_frame_relation": (3, _only_2, lambda d: [("unitary", d)] * 3),
+    "spin_flip": (5, _only_2, lambda d: [("state", d)]),
+    "double_reversal": (3, _only_2, lambda d: [("unitary", d)] * 3),
+    "chain_consistency": (7, _with_2, _circuit),
+    "semantics_equivalence": (7, _with_2, _circuit),
+    "probability_law": (7, _with_2, _circuit),
+    "encoding_independence": (7, _with_2, _circuit),
 }
 
 
+def _twins(seed, key, d, trials):
+    """Per trial, a twin of the generator of its page of ``properties.P``
+    trials; the trials of one page share it."""
+    for t in range(trials):
+        if t % properties.P == 0:
+            twin = np.random.default_rng([seed, key, d, t // properties.P])
+        yield twin
+
+
 def _paged_draws(name, seed, trials, dims):
-    """What suite ``name`` hands its constructors, dimension by dimension and
-    trial by trial, from a twin generator per page of ``properties.P``
-    trials."""
-    key, own_dims, recipe = DRAWS[name]
+    """What the pass of row ``name`` hands its constructors, dimension by
+    dimension and trial by trial, from the twin generators."""
+    key, drawn, recipe = DRAWS[name]
     out = []
-    for d in own_dims or dims:
-        for t in range(trials):
-            if t % properties.P == 0:
-                twin = np.random.default_rng([seed, key, d, t // properties.P])
+    for d in drawn(dims):
+        for twin in _twins(seed, key, d, trials):
             for kind, arg in recipe(d):
                 if kind == "unitary":
                     out.append(random_unitary(arg, twin))
@@ -256,8 +283,8 @@ def _paged_draws(name, seed, trials, dims):
 
 
 def _stacked_draws(monkeypatch, name, seed, trials, dims):
-    """Run the suite and record what its constructors return, member by
-    member in the order of the trials, block by block."""
+    """Run the pass of row ``name`` and record what its constructors return,
+    member by member in the order of the trials, block by block."""
     calls = []
     for ctor, tail in (("haar_unitary", 2), ("gaussian_state", 1)):
         fn = getattr(properties, ctor)
@@ -286,11 +313,11 @@ def test_suite_draws_equal_a_scalar_loop(monkeypatch, name, one_per_block):
     if one_per_block:
         monkeypatch.setattr(properties, "BLOCK_ELEMENTS", 1)
     monkeypatch.setattr(properties, "P", 3)
-    seed, trials, dims = 11, 7, (2, 3)
-    stacked = _stacked_draws(monkeypatch, name, seed, trials, dims)
-    scalar = _paged_draws(name, seed, trials, dims)
-    assert len(stacked) == len(scalar)
-    assert all(np.array_equal(a, b) for a, b in zip(stacked, scalar))
+    for dims in ((2, 3), (3,)):
+        stacked = _stacked_draws(monkeypatch, name, 11, 7, dims)
+        scalar = _paged_draws(name, 11, 7, dims)
+        assert len(stacked) == len(scalar)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, scalar))
 
 
 @pytest.mark.parametrize("block_elements", [1, 2**10, 2**16])
@@ -306,6 +333,72 @@ def test_pages_hold_p_trials(monkeypatch, block_elements):
     assert all(np.array_equal(a, b) for a, b in zip(stacked, scalar))
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 8), (4, 3)])
+def test_each_page_is_drawn_once_per_request(monkeypatch, dims):
+    # Pages of 4 trials, so 10 trials span three pages per pass and
+    # dimension.  The circuit pass draws d = 2 for encoding_independence
+    # when --dims lacks it; keys 2 and 6 are retired.
+    monkeypatch.setattr(properties, "P", 4)
+    opened = []
+
+    def counting(key, make=np.random.default_rng):
+        opened.append(tuple(key))
+        return make(key)
+
+    with mock.patch.object(np.random, "default_rng", counting):
+        properties.run_all(seed=9, trials=10, dims=dims)
+    assert len(opened) == len(set(opened))
+    drawn = {key: f(dims) for key, f, _ in DRAWS.values()}
+    assert sorted(drawn) == [0, 1, 3, 5, 7]
+    expected = {(9, key, d, p) for key, ds in drawn.items() for d in ds for p in range(3)}
+    assert set(opened) == expected
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+@pytest.mark.parametrize("d", DIMS)
+def test_stacked_chain_equals_a_chain_per_encoding(d, faulty):
+    # The circuit pass runs one chain over every encoding of the dimension;
+    # each encoding's legs must be the bits of its own chain.
+    gate = properties.faulty_reverse_gate if faulty else properties._time_reverse_gate
+    rng = np.random.default_rng(d)
+    c = properties._circuit(d, rng.standard_normal((6, 5, 2, d, d)))
+    psi = gaussian_state(rng.standard_normal((6, 2, d)))
+    stacked = _evolution_chain(c, psi, properties._STACKS[d], gate)
+    encodings = properties.ENCODINGS[d]
+    assert len(encodings) == (11 if d == 2 else 1)
+    for k, e in enumerate(encodings):
+        for (label, leg), (ref_label, ref) in zip(stacked, _evolution_chain(c, psi, e, gate)):
+            assert label == ref_label
+            assert np.array_equal(leg if label == "closed_form" else leg[k], ref)
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_circuit_rows_read_each_of_their_encodings(faulty):
+    # With legs bitwise equal to one chain per encoding, rebuilding the rows
+    # from one chain per encoding must give the same bits: chain_consistency
+    # over photon number and spin-1/2 at 1 and 1j, encoding_independence over
+    # spin-1/2 at each of ALPHA_PHASES against photon number.
+    gate = properties.faulty_reverse_gate if faulty else properties._time_reverse_gate
+    spins = [spin_half(alpha) for alpha in properties.ALPHA_PHASES]
+    chain = independence = 0.0
+    for d in (2, 3):
+        encodings = [photon_number(2), spin_half(1.0), spin_half(1j)] if d == 2 else [
+            photon_number(d)]
+        for gates, psi in properties._blocks(4, 7, d, 40, ((5, 2, d, d), (2, d)), d**3):
+            c, psi = properties._circuit(d, gates), gaussian_state(psi)
+            for e in encodings:
+                legs = _evolution_chain(c, psi, e, gate)
+                chain = max(chain, np.max(np.abs(legs[3][1] - legs[4][1])))
+            ret = _evolution_chain(c, psi, photon_number(d), gate)[3][1]
+            for e in spins if d == 2 else []:
+                out = _evolution_chain(c, psi, e, gate)[3][1]
+                independence = max(independence, np.max(np.abs(out - ret)))
+    rows = {r.name: r.max_deviation
+            for r in properties.check_chain_consistency(4, 40, (2, 3), 1e-9, gate)}
+    assert rows["chain_consistency"] == chain
+    assert rows["encoding_independence"] == independence
+
+
 def _paged_backward_inputs(seed, trials, dims):
     """``backward_consistency``'s ``(psi, phi)`` per member from a twin
     generator per page.  Each trial draws a state, the unitary of a maximally
@@ -313,9 +406,7 @@ def _paged_backward_inputs(seed, trials, dims):
     maximally entangled pair is the one used."""
     out = []
     for d in dims:
-        for t in range(trials):
-            if t % properties.P == 0:
-                twin = np.random.default_rng([seed, 1, d, t // properties.P])
+        for twin in _twins(seed, 1, d, trials):
             psi = random_state(d, twin)
             pair = random_unitary(d, twin).reshape(-1) / np.sqrt(d)
             state = random_state(d * d, twin)
@@ -380,7 +471,7 @@ def test_each_dimension_is_drawn_and_checked_alone(seed, faulty):
 @pytest.mark.parametrize("d", DIMS)
 def test_random_pair_is_the_scalar_construction(d):
     rng, twin = np.random.default_rng(d), np.random.default_rng(d)
-    pair = properties._pairs(rng.standard_normal((2, d, d)))
+    pair = properties._pairs(haar_unitary(rng.standard_normal((2, d, d))))
     v = random_unitary(d, twin)
     uniform = np.eye(d).reshape(-1) / np.sqrt(d)
     assert np.array_equal(pair, v.reshape(-1) / np.sqrt(d))
