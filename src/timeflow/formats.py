@@ -26,7 +26,12 @@ import numpy as np
 
 from .linalg import HADAMARD, ID2, INPUT_TOL, PAULI, SGATE, basis_state, bell_state, rx, ry, rz
 from .nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem, _check_self_coupling
+from .properties import MAX_DIM
 from .reversal import canonical_pair, photon_number
+
+# Largest spin count of a spin-system file: run_sequence returns a dense
+# 2**n x 2**n complex matrix, 256 MiB at n = 12 and 4 GiB at n = 14.
+MAX_SPINS = 12
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d*)?))?$")
 
@@ -104,6 +109,8 @@ def parse_spin_system(text: str) -> SpinSystem:
                 spins = int(count)
                 if spins < 1:
                     raise ValueError(f"need at least 1 spin, got {spins}")
+                if spins > MAX_SPINS:
+                    raise ValueError(f"spin count {spins} exceeds the limit of {MAX_SPINS}")
             elif key == "larmor":
                 larmor = [finite_float(v) for v in fields]
             elif key == "j":
@@ -267,6 +274,8 @@ def parse_circuit(obj: dict) -> dict:
         raise ValueError(f"circuit file: field 'd' must be an integer, got {d!r}")
     if d < 2:
         raise ValueError("circuit file: d must be at least 2")
+    if d > MAX_DIM:
+        raise ValueError(f"circuit file: d {d} exceeds the limit of {MAX_DIM}")
     out = {"d": d}
     for field in ("u", "v", "w", "phi", "omega", "psi"):
         if field not in obj:

@@ -3,39 +3,38 @@
 :data:`SUITES` is the table of the 11 report rows, each with the pass that
 reports it.  A pass takes ``(seed, trials, dims, tol, reverse_gate)``,
 ignores what it does not use, and returns a row per claim with the worst
-deviation it saw, which passes iff it is within tolerance.  Five passes
+deviation it saw, which passes iff it is within tolerance.  Two passes
 draw, each one kind of random object per dimension for every row that
-checks it, and each is named after its first row:
+checks it, and each is named after one of its rows:
 
-- ``check_correspondence_roundtrip`` (key 0): states and matrices;
 - ``check_backward_consistency`` (key 1): per trial an input state, a
   maximally entangled pair, a random pair and a coin, also for
-  ``entanglement_unitarity``;
-- ``check_local_frame_relation`` (key 3): one d = 2 Haar unitary ``V`` per
-  trial and encoding, read as the pair ``V / sqrt(2)`` and, for
-  ``double_reversal``, as the gate;
-- ``check_spin_flip`` (key 5): d = 2 states;
+  ``entanglement_unitarity`` and, on the random pairs and the Ginibre
+  matrices of the maximally entangled ones, ``correspondence_roundtrip``;
 - ``check_chain_consistency`` (key 7): circuits and input states, also for
   ``semantics_equivalence``, ``probability_law`` and, on the d = 2 circuits
-  (drawn for it alone when 2 is not in ``dims``), ``encoding_independence``.
+  (drawn for them alone when 2 is not in ``dims``), ``encoding_independence``,
+  ``local_frame_relation`` (on the pair omega), ``double_reversal`` (on the
+  gate u) and ``spin_flip`` (on the input states).
 
 ``conjugation_sign`` draws nothing.  ``timeflow verify`` runs the passes;
 its fault-injection mode replaces the gate-reversal rule with a wrong one
 (conjugation skipped, leaving the adjoint instead of the transpose) to show
-which rows catch such a regression.
+which rows catch such a regression.  The d = 2 gate and pair rows call the
+checked public functions, which the fault does not reach.
 
 Draws are keyed: a pass's trials at dimension d come in pages of ``P``, and
 page p draws its normals, trial after trial, from
 ``np.random.default_rng([seed, key, d, p])``, where the key is the
-:data:`SUITES` index of the pass's first row (keys 2 and 6 are retired).  So
-a trial's draws depend neither on the other ``--dims`` entries nor on the
-block size, and a row's deviation under several dimensions is the worst of
-its runs at each one alone.  Trials run in blocks of at most
-``BLOCK_ELEMENTS // cost`` trials of one page, each drawn in one call and
-checked on stacked arrays, so memory does not grow with the trial count.
-The cost is the largest array a trial stacks: d**4 elements for key 1, d**3
-or the chain's d**2 per encoding for the circuits and, for the others, the
-normals one trial draws.
+:data:`SUITES` index of the row the pass is named after (keys 0, 2, 3, 5
+and 6, which earlier layouts drew from, are retired).  So a trial's draws
+depend neither on the other ``--dims`` entries nor on the block size, and a
+row's deviation under several dimensions is the worst of its runs at each
+one alone.  Trials run in blocks of at most ``BLOCK_ELEMENTS // cost``
+trials of one page, each drawn in one call and checked on stacked arrays,
+so memory does not grow with the trial count.  The cost is the largest
+array a trial stacks: d**4 elements for key 1, and d**3 or the chain's d**2
+per encoding for the circuits.
 
 Every encoding a row uses comes from :data:`ENCODINGS`, built once at
 import; one chain per block evaluates all of a dimension's encodings, their
@@ -144,32 +143,20 @@ def _circuit(d: int, normals: np.ndarray) -> TeleportCircuit:
     return TeleportCircuit(d=d, u=u, v=v, w=w, phi=_pairs(phi), omega=_pairs(omega))
 
 
-def _blocks(seed, suite, d, trials, shapes, cost=None):
+def _blocks(seed, key, d, trials, shapes, cost):
     """Per block, one ``(trials, *shape)`` array per shape of the normals
     that each trial at dimension ``d`` draws from its page's generator.  A
     block is one draw of at most ``max(1, BLOCK_ELEMENTS // cost)`` trials of
-    one page; ``cost`` defaults to the normals one trial draws."""
+    one page."""
     ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-    per_block = max(1, BLOCK_ELEMENTS // (cost or int(ends[-1])))
+    per_block = max(1, BLOCK_ELEMENTS // cost)
     for first in range(0, trials, P):
-        rng = np.random.default_rng([seed, suite, d, first // P])
+        rng = np.random.default_rng([seed, key, d, first // P])
         page = min(P, trials - first)
         for start in range(0, page, per_block):
             b = min(per_block, page - start)
             normals = rng.standard_normal((b, ends[-1]))
             yield [normals[:, lo:hi].reshape(b, *s) for lo, hi, s in zip(ends, ends[1:], shapes)]
-
-
-def check_correspondence_roundtrip(seed, trials, dims, tol, reverse_gate):
-    """state -> matrix -> state is the identity, elementwise, both ways."""
-    dev = 0.0
-    for d in dims:
-        for state, matrix in _blocks(seed, 0, d, trials, ((2, d * d), (2, d, d))):
-            phi = gaussian_state(state)
-            q = matrix[:, 0] + 1j * matrix[:, 1]
-            dev = max(dev, np.max(np.abs(state_of_matrix(amplitude_matrix(phi)) - phi)))
-            dev = max(dev, np.max(np.abs(amplitude_matrix(state_of_matrix(q)) - q)))
-    return [_result("correspondence_roundtrip", trials, dev, tol)]
 
 
 def check_backward_consistency(seed, trials, dims, tol, reverse_gate):
@@ -178,13 +165,22 @@ def check_backward_consistency(seed, trials, dims, tol, reverse_gate):
     normal is below zero and on its random pair elsewhere.  With both pairs,
     ``entanglement_unitarity``: the transfer matrix is unitary exactly when
     the reduced state of either carrier is 1/d, as for the maximally
-    entangled pair; its deviation counts misclassifications (tolerance 0)."""
-    dev, bad = 0.0, 0
+    entangled pair; its deviation counts misclassifications (tolerance 0).
+    ``correspondence_roundtrip``: state -> matrix -> state is the identity,
+    elementwise, on the random pairs, and matrix -> state -> matrix on the
+    Ginibre matrices the maximally entangled pairs are made from."""
+    dev, bad, roundtrip = 0.0, 0, 0.0
     for d in dims:
         shapes = ((2, d), (2, d, d), (2, d * d), ())
         for psi, pair, state, coin in _blocks(seed, 1, d, trials, shapes, d**4):
+            q = pair[:, 0] + 1j * pair[:, 1]
             psi, pairs = gaussian_state(psi), _pairs(haar_unitary(pair))
             states = gaussian_state(state)
+            roundtrip = max(
+                roundtrip,
+                np.max(np.abs(state_of_matrix(amplitude_matrix(states)) - states)),
+                np.max(np.abs(amplitude_matrix(state_of_matrix(q)) - q)),
+            )
             rho, psi_bar = backward_state(psi, np.where((coin < 0)[:, None], pairs, states))
             dev = max(dev, np.max(np.abs(rho - projector(psi_bar))))
             for phi, expect in ((pairs, True), (states, None)):
@@ -195,57 +191,35 @@ def check_backward_consistency(seed, trials, dims, tol, reverse_gate):
                 if expect is not None:
                     wrong |= ent != expect
                 bad += int(wrong.sum())
-    rows = [_result("backward_consistency", trials, dev, tol)]
-    return rows + [_result("entanglement_unitarity", 2 * trials * len(dims), bad, 0.0)]
-
-
-def check_local_frame_relation(seed, trials, dims, tol, reverse_gate):
-    """(chi (x) 1) applied to the canonical pair reproduces the state, and
-    reversing a gate twice gives it back (``double_reversal``), for every
-    d = 2 encoding of the chain rows; the pair and the gate are one unitary."""
-    frame = double = 0.0
-    encodings = ENCODINGS[2][:3]
-    for (normals,) in _blocks(seed, 3, 2, trials, ((len(encodings), 2, 2, 2),)):
-        gates = haar_unitary(normals)
-        pairs = np.moveaxis(_pairs(gates), 1, 0)
-        for u, psi, e in zip(np.moveaxis(gates, 1, 0), pairs, encodings):
-            chi = local_frame_gate(psi, e)
-            rebuilt = (chi @ canonical_pair(e).reshape(2, 2)).reshape(psi.shape)
-            frame = max(frame, np.max(np.abs(rebuilt - psi)))
-            twice = time_reverse_gate(time_reverse_gate(u, e), e)
-            double = max(double, np.max(np.abs(twice - u)))
-    names = ("local_frame_relation", "double_reversal")
-    return [_result(n, trials, dev, tol) for n, dev in zip(names, (frame, double))]
+    return [
+        _result("correspondence_roundtrip", trials, roundtrip, tol),
+        _result("backward_consistency", trials, dev, tol),
+        _result("entanglement_unitarity", 2 * trials * len(dims), bad, 0.0),
+    ]
 
 
 def check_conjugation_sign(seed, trials, dims, tol, reverse_gate):
-    """The reversal unitary's conjugation sign squares to one, exactly."""
-    photons = (ENCODINGS[2][0], ENCODINGS[3][0])
-    encodings = [e for spin in ENCODINGS[2][3:] for e in (spin, *photons)]
+    """The reversal unitary's conjugation sign squares to one, exactly, for
+    each spin phase and the photon-number encodings at d = 2 and 3."""
+    encodings = (*ENCODINGS[2][3:], ENCODINGS[2][0], ENCODINGS[3][0])
     signs = [(conjugation_sign(e.matrix), e.sign) for e in encodings]
     dev = max(max(abs(g * g - 1), abs(g - sign)) for g, sign in signs)
     return [_result("conjugation_sign", len(encodings), dev, 0.0)]
 
 
-def check_spin_flip(seed, trials, dims, tol, reverse_gate):
-    """All three spin-component expectations negate under time reversal."""
-    dev = 0.0
-    for (normals,) in _blocks(seed, 5, 2, trials, ((2, 2),)):
-        psi = gaussian_state(normals)
-        rev = time_reverse_state(psi, ENCODINGS[2][1])
-        dev = max(dev, np.max(np.abs(spin_expectations(rev) + spin_expectations(psi))))
-    return [_result("spin_flip", trials, dev, tol)]
-
-
 def check_chain_consistency(seed, trials, dims, tol, reverse_gate):
-    """The four circuit rows from one draw of circuits and input states per
-    dimension, and per block one chain over every encoding of it.  The first
+    """Seven rows from one draw of circuits and input states per dimension,
+    and per block one chain over every encoding of it.  The first
     three encodings' return legs are held to the closed form; the
     photon-number one to the oracle's designated outcome up to global phase,
     and it and every oracle outcome to probability 1/d**2.  On the d = 2
     circuits every spin phase's return leg is held to the photon-number one
-    (``encoding_independence``)."""
-    chain = semantics = probability = independence = 0.0
+    (``encoding_independence``); for each of the first three encodings,
+    ``(chi (x) 1)`` on the canonical pair reproduces omega
+    (``local_frame_relation``) and reversing u twice gives it back
+    (``double_reversal``); and the input states' three spin-component
+    expectations negate under time reversal (``spin_flip``)."""
+    chain = semantics = probability = independence = frame = double = flip = 0.0
     for d in dict.fromkeys((*dims, 2)):
         cost = max(d**3, len(ENCODINGS[d]) * d * d)  # outcomes, or the stacked chain
         for gates, psi in _blocks(seed, 7, d, trials, ((5, 2, d, d), (2, d)), cost):
@@ -254,6 +228,13 @@ def check_chain_consistency(seed, trials, dims, tol, reverse_gate):
             ret = legs[3][1]
             if d == 2:
                 independence = max(independence, np.max(np.abs(ret[3:] - ret[0])))
+                for e in ENCODINGS[2][:3]:
+                    rebuilt = local_frame_gate(c.omega, e) @ canonical_pair(e).reshape(2, 2)
+                    frame = max(frame, np.max(np.abs(rebuilt.reshape(c.omega.shape) - c.omega)))
+                    twice = time_reverse_gate(time_reverse_gate(c.u, e), e)
+                    double = max(double, np.max(np.abs(twice - c.u)))
+                rev = spin_expectations(time_reverse_state(psi, ENCODINGS[2][1]))
+                flip = max(flip, np.max(np.abs(rev + spin_expectations(psi))))
             if d not in dims:
                 continue
             chain = max(chain, np.max(np.abs(ret[:3] - legs[4][1])))
@@ -267,21 +248,21 @@ def check_chain_consistency(seed, trials, dims, tol, reverse_gate):
                 np.max(np.abs(np.sum(probs, axis=-1) - 1.0)),
             )
     names = ("chain_consistency", "semantics_equivalence", "probability_law",
-             "encoding_independence")
-    devs = (chain, semantics, probability, independence)
+             "encoding_independence", "local_frame_relation", "double_reversal", "spin_flip")
+    devs = (chain, semantics, probability, independence, frame, double, flip)
     return [_result(n, trials, dev, tol) for n, dev in zip(names, devs)]
 
 
 # The report rows in order, each with the pass that reports it; a pass
 # reports all of its rows from one run.
 SUITES = (
-    ("correspondence_roundtrip", check_correspondence_roundtrip),
+    ("correspondence_roundtrip", check_backward_consistency),
     ("backward_consistency", check_backward_consistency),
     ("entanglement_unitarity", check_backward_consistency),
-    ("local_frame_relation", check_local_frame_relation),
+    ("local_frame_relation", check_chain_consistency),
     ("conjugation_sign", check_conjugation_sign),
-    ("spin_flip", check_spin_flip),
-    ("double_reversal", check_local_frame_relation),
+    ("spin_flip", check_chain_consistency),
+    ("double_reversal", check_chain_consistency),
     ("chain_consistency", check_chain_consistency),
     ("semantics_equivalence", check_chain_consistency),
     ("probability_law", check_chain_consistency),

@@ -11,7 +11,7 @@ import timeflow.circuits as circuits
 import timeflow.properties as properties
 from oracles import write_fid_csv, write_spectrum_csv
 from timeflow.cli import MAX_DIM, MAX_POINTS, main
-from timeflow.formats import load_sequence, load_spin_system, vector_pairs
+from timeflow.formats import MAX_SPINS, load_sequence, load_spin_system, vector_pairs
 from timeflow.linalg import INPUT_TOL, random_unitary
 from timeflow.nmr import fid, pauli_decompose, run_sequence, spectrum
 
@@ -223,6 +223,18 @@ class TestTeleport:
         assert code == 2
         assert captured.out == ""
         assert f"field '{field}'" in captured.err
+
+    @pytest.mark.parametrize("d", [MAX_DIM + 1, 10**6])
+    def test_oversized_d_is_input_error(self, capsys, tmp_path, d):
+        # rejected before any d x d array is built
+        obj = {"d": d, "u": "I", "v": "I", "w": "I", "phi": "MAX", "omega": "MAX", "psi": 0}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        code = main(["teleport", "--circuit", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"circuit file: d {d} exceeds the limit of {MAX_DIM}" in captured.err
 
     def test_chain_evaluated_once_per_run(self, capsys, monkeypatch):
         calls = []
@@ -441,6 +453,21 @@ class TestNmr:
         code = main(["nmr", "--spin-system", str(path), "--sequence", f"{CONFIGS}/flip_on.seq"])
         assert code == 2
         assert "spin-system file line 3" in capsys.readouterr().err
+
+    def test_oversized_spin_count_is_input_error(self, capsys, tmp_path, monkeypatch):
+        # the file claims only the count, and the engine must not be reached
+        monkeypatch.setattr(
+            "timeflow.cli.run_sequence", lambda *a, **k: pytest.fail("sequence ran")
+        )
+        path = tmp_path / "big.spinsys"
+        path.write_text(f"spins 40\nlarmor {' '.join(['0'] * 40)}\n")
+        code = main(["nmr", "--spin-system", str(path), "--sequence", f"{CONFIGS}/flip_on.seq"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: spin-system file line 1: spin count 40 exceeds the limit of {MAX_SPINS}\n"
+        )
 
     def test_uncoupled_pair_names_the_line_and_the_file_spins(self, capsys, tmp_path):
         system = tmp_path / "chain.spinsys"

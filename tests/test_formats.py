@@ -7,6 +7,7 @@ import pytest
 
 from timeflow.formats import (
     _FIELDS,
+    MAX_SPINS,
     load_circuit,
     parse_angle,
     parse_circuit,
@@ -17,6 +18,7 @@ from timeflow.formats import (
     vector_pairs,
 )
 from timeflow.linalg import HADAMARD, SX, bell_state, ry
+from timeflow.properties import MAX_DIM
 from timeflow.nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem
 
 SPINSYS = """
@@ -165,6 +167,19 @@ class TestSpinSystemFile:
             parse_spin_system(f"# header\nspins {count}\nlarmor\n")
 
 
+    def test_spin_count_above_the_limit_reports_line(self):
+        # the file claims only the count, so nothing is allocated
+        message = f"line 2: spin count 40 exceeds the limit of {MAX_SPINS}"
+        with pytest.raises(ValueError, match=message):
+            parse_spin_system("# header\nspins 40\n")
+
+    def test_spin_count_at_the_limit_parses(self):
+        # README promises runs up to ten spins
+        assert MAX_SPINS >= 10
+        system = parse_spin_system(f"spins {MAX_SPINS}\nlarmor {' 0' * MAX_SPINS}\n")
+        assert system.n == MAX_SPINS
+
+
 class TestSequenceFile:
     def test_parse(self):
         events = parse_sequence(SEQUENCE, SYSTEM)
@@ -306,6 +321,16 @@ class TestCircuitFile:
         obj = {"d": d, "u": "I", "v": "I", "w": "I", "phi": "MAX", "omega": "MAX", "psi": 0}
         with pytest.raises(ValueError, match="field 'd' must be an integer"):
             parse_circuit(obj)
+
+    @pytest.mark.parametrize("d", [MAX_DIM + 1, 10**6])
+    def test_d_above_the_limit_rejected(self, d):
+        obj = {"d": d, "u": "I", "v": "I", "w": "I", "phi": "MAX", "omega": "MAX", "psi": 0}
+        with pytest.raises(ValueError, match=f"circuit file: d {d} exceeds the limit of 32"):
+            parse_circuit(obj)
+
+    def test_d_at_the_limit_parses(self):
+        obj = {"d": MAX_DIM, "u": "I", "v": "I", "w": "I", "phi": "MAX", "omega": "MAX", "psi": 0}
+        assert parse_circuit(obj)["u"].shape == (MAX_DIM, MAX_DIM)
 
     @pytest.mark.parametrize("psi", [True, False])
     def test_boolean_psi_is_not_a_basis_index(self, psi):

@@ -12,6 +12,7 @@ from timeflow.circuits import TeleportCircuit, _evolution_chain, forward_oracle
 from timeflow.linalg import (
     DEFAULT_TOL,
     INPUT_TOL,
+    haar_unitary,
     partial_trace,
     random_state,
     random_unitary,
@@ -85,35 +86,34 @@ def test_default_tolerance_except_exact_suites():
 
 
 def _passes():
-    """Each pass of the report table with the name of its first row."""
-    first = {}
+    """Each pass of the report table with the names of its rows."""
+    rows = {}
     for name, suite in SUITES:
-        first.setdefault(suite, name)
-    return first
+        rows.setdefault(suite, []).append(name)
+    return rows
 
 
 def test_suite_names_match_benchmark_tracer():
     # The traced benchmark run times properties.check_<row> for each row; a
-    # pass is found there under its first row's name, and a renamed pass
-    # would silently report zero spans.
+    # pass is found there under the name of one of its rows, and a renamed
+    # pass would silently report zero spans.
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tuple(r.name for r in run_all(seed=0, trials=1)) == tracer.SUITES
     assert tuple(name for name, _ in SUITES) == tracer.SUITES
     passes = _passes()
-    assert len(passes) == 6
-    for suite, name in passes.items():
-        assert getattr(properties, f"check_{name}") is suite
+    assert len(passes) == 3
+    for suite, names in passes.items():
+        assert [getattr(properties, f"check_{n}", None) for n in names].count(suite) == 1
 
 
 @pytest.mark.parametrize("trials", [1, 9])
 def test_haar_unitaries_drawn_per_run(monkeypatch, trials):
-    # One per trial of the key-1 pass (its maximally entangled pair), one per
-    # trial and d = 2 encoding of the key-3 pass (pair and gate in one) and
-    # five per circuit (u, v, w and one per pair), whose pass also draws
-    # d = 2 when --dims lacks it: a second unitary per pair, or a second draw
-    # of a page, would show up here.
+    # One per trial of the key-1 pass (its maximally entangled pair) and five
+    # per circuit (u, v, w and one per pair), whose pass also draws d = 2
+    # when --dims lacks it: a second unitary per pair, or a second draw of a
+    # page, would show up here.
     drawn = []
 
     def counting(normals, fn=properties.haar_unitary):
@@ -124,16 +124,15 @@ def test_haar_unitaries_drawn_per_run(monkeypatch, trials):
     monkeypatch.setattr(properties, "haar_unitary", counting)
     for dims, circuit_dims in [((2, 3, 4, 8), 4), ((3, 4, 8), 4), ((2,), 1)]:
         expected = {
-            "backward_consistency": trials * len(dims),
-            "local_frame_relation": 3 * trials,
-            "chain_consistency": 5 * trials * circuit_dims,
+            "check_backward_consistency": trials * len(dims),
+            "check_chain_consistency": 5 * trials * circuit_dims,
         }
         counts = {}
-        for suite, name in _passes().items():
+        for suite in _passes():
             drawn.clear()
             suite(0, trials, dims, DEFAULT_TOL, time_reverse_gate)
             if drawn:
-                counts[name] = sum(drawn)
+                counts[suite.__name__] = sum(drawn)
         assert counts == expected
         drawn.clear()
         run_all(seed=0, trials=trials, dims=dims)
@@ -196,20 +195,18 @@ def _rows_by_member(seed, trials, dims, gate):
     spins = [spin_half(alpha) for alpha in properties.ALPHA_PHASES]
     rows = dict.fromkeys((name for name, _ in SUITES), 0.0)
     for d in dims:
-        for twin in _twins(seed, 0, d, trials):
-            phi = random_state(d * d, twin)
-            normals = twin.standard_normal((2, d, d))
-            q = normals[0] + 1j * normals[1]
-            rows["correspondence_roundtrip"] = max(
-                rows["correspondence_roundtrip"],
-                np.max(np.abs(state_of_matrix(amplitude_matrix(phi)) - phi)),
-                np.max(np.abs(amplitude_matrix(state_of_matrix(q)) - q)),
-            )
         for twin in _twins(seed, 1, d, trials):
             psi = random_state(d, twin)
-            pair = random_unitary(d, twin).reshape(-1) / np.sqrt(d)
+            ginibre = twin.standard_normal((2, d, d))
+            pair = haar_unitary(ginibre).reshape(-1) / np.sqrt(d)
             state = random_state(d * d, twin)
             phi = pair if twin.standard_normal() < 0 else state
+            q = ginibre[0] + 1j * ginibre[1]
+            rows["correspondence_roundtrip"] = max(
+                rows["correspondence_roundtrip"],
+                np.max(np.abs(state_of_matrix(amplitude_matrix(state)) - state)),
+                np.max(np.abs(amplitude_matrix(state_of_matrix(q)) - q)),
+            )
             rho, psi_bar = backward_state(psi, phi)
             rows["backward_consistency"] = max(
                 rows["backward_consistency"], np.max(np.abs(rho - np.outer(psi_bar, psi_bar.conj())))
@@ -219,25 +216,9 @@ def _rows_by_member(seed, trials, dims, gate):
                 ent = np.max(np.abs(d * reduced - np.eye(d))) <= INPUT_TOL
                 uni = is_maximally_entangled(p, INPUT_TOL)
                 rows["entanglement_unitarity"] += ent != uni or maximal not in (None, ent)
-    for twin in _twins(seed, 3, 2, trials):
-        for e in d2:
-            v = random_unitary(2, twin)
-            pair = v.reshape(-1) / np.sqrt(2)
-            rebuilt = np.kron(local_frame_gate(pair, e), np.eye(2)) @ canonical_pair(e)
-            rows["local_frame_relation"] = max(
-                rows["local_frame_relation"], np.max(np.abs(rebuilt - pair))
-            )
-            twice = time_reverse_gate(time_reverse_gate(v, e), e)
-            rows["double_reversal"] = max(rows["double_reversal"], np.max(np.abs(twice - v)))
-    for twin in _twins(seed, 5, 2, trials):
-        psi = random_state(2, twin)
-        flipped = spin_expectations(time_reverse_state(psi, spin_half()))
-        rows["spin_flip"] = max(
-            rows["spin_flip"], np.max(np.abs(flipped + spin_expectations(psi)))
-        )
-    # each phase is listed with both photon-number encodings
+    # each phase and each photon-number encoding once
     signs = [(conjugation_sign(e.matrix), e.sign)
-             for s in spins for e in (s, photon_number(2), photon_number(3))]
+             for e in (*spins, photon_number(2), photon_number(3))]
     rows["conjugation_sign"] = max(max(abs(g * g - 1), abs(g - s)) for g, s in signs)
     for d in dict.fromkeys((*dims, 2)):
         for twin in _twins(seed, 7, d, trials):
@@ -252,6 +233,17 @@ def _rows_by_member(seed, trials, dims, gate):
                     rows["encoding_independence"] = max(
                         rows["encoding_independence"], np.max(np.abs(out - ret))
                     )
+                for e in d2:
+                    rebuilt = np.kron(local_frame_gate(c.omega, e), np.eye(2)) @ canonical_pair(e)
+                    rows["local_frame_relation"] = max(
+                        rows["local_frame_relation"], np.max(np.abs(rebuilt - c.omega))
+                    )
+                    twice = time_reverse_gate(time_reverse_gate(u, e), e)
+                    rows["double_reversal"] = max(rows["double_reversal"], np.max(np.abs(twice - u)))
+                flipped = spin_expectations(time_reverse_state(psi, spin_half()))
+                rows["spin_flip"] = max(
+                    rows["spin_flip"], np.max(np.abs(flipped + spin_expectations(psi)))
+                )
             if d not in dims:
                 continue
             for e in d2 if d == 2 else [photon_number(d)]:
@@ -286,21 +278,29 @@ class _CountingGenerator:
         return self.rng.standard_normal(shape)
 
 
+# Per pass, the largest array a trial stacks at dimension d.
+_COST = {
+    "backward_consistency": lambda d: d**4,
+    "chain_consistency": lambda d: max(d**3, len(properties.ENCODINGS[d]) * d * d),
+}
+
+
 @pytest.mark.parametrize(
     "name,per_trial",
     [
-        # 2d^2 state and 2d^2 matrix normals for each --dims entry
-        ("correspondence_roundtrip", 4 * (4 + 9 + 16 + 64)),
-        # three pairs or gates of 2 x 2 x 2 normals
-        ("local_frame_relation", 24),
-        ("double_reversal", 24),
+        # per --dims entry a state, a pair's unitary and a random pair of 2d,
+        # 2d^2 and 2d^2 normals, and a coin
+        ("backward_consistency", 2 * 17 + 4 * 93 + 4),
+        # per --dims entry (2 among them) five unitaries and a state, 10d^2
+        # and 2d normals
+        ("chain_consistency", 10 * 93 + 2 * 17),
     ],
 )
 def test_blocks_hold_what_a_trial_draws(monkeypatch, name, per_trial):
-    # These passes draw no coins, so the block size moves no value.  Each
-    # page of 64 trials has its own generator, and its blocks split it into
-    # runs of BLOCK_ELEMENTS normals or less, whole trials each.
-    suite = dict(SUITES)[name]
+    # Each page of 64 trials has its own generator, and its blocks split it
+    # into runs of at most max(1, BLOCK_ELEMENTS // cost) whole trials, the
+    # same for every page of a dimension; the block size moves no value.
+    suite, cost = dict(SUITES)[name], _COST[name]
     dims, trials = (2, 3, 4, 8), 200
     monkeypatch.setattr(properties, "P", 64)
     rows = []
@@ -318,7 +318,7 @@ def test_blocks_hold_what_a_trial_draws(monkeypatch, name, per_trial):
         for (_, _, d, page), rng in pages.items():
             size = min(64, trials - 64 * page)
             per_d = sum(rng.sizes) // size
-            per_block = block_elements // per_d
+            per_block = max(1, block_elements // cost(d))
             assert rng.sizes == [
                 per_d * min(per_block, size - start) for start in range(0, size, per_block)
             ]

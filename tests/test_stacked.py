@@ -10,6 +10,7 @@ page])``.
 """
 
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -225,10 +226,6 @@ def _every(dims):
     return dims
 
 
-def _only_2(dims):
-    return (2,)
-
-
 def _with_2(dims):
     return tuple(dict.fromkeys((*dims, 2)))
 
@@ -239,16 +236,14 @@ def _with_2(dims):
 # ("normals", shape) is plain normals the pass hands to neither constructor.
 # A maximally entangled pair is one unitary, and a circuit is u, v, w, the
 # unitaries of phi and omega, then its input state.  The rows of one pass
-# share its entry.
+# share its entry; the d = 2 gate, pair and spin rows read the circuits.
 DRAWS = {
-    "correspondence_roundtrip": (
-        0, _every, lambda d: [("state", d * d), ("normals", (2, d, d))]
-    ),
+    "correspondence_roundtrip": (1, _every, _pair_trial),
     "backward_consistency": (1, _every, _pair_trial),
     "entanglement_unitarity": (1, _every, _pair_trial),
-    "local_frame_relation": (3, _only_2, lambda d: [("unitary", d)] * 3),
-    "spin_flip": (5, _only_2, lambda d: [("state", d)]),
-    "double_reversal": (3, _only_2, lambda d: [("unitary", d)] * 3),
+    "local_frame_relation": (7, _with_2, _circuit),
+    "spin_flip": (7, _with_2, _circuit),
+    "double_reversal": (7, _with_2, _circuit),
     "chain_consistency": (7, _with_2, _circuit),
     "semantics_equivalence": (7, _with_2, _circuit),
     "probability_law": (7, _with_2, _circuit),
@@ -327,17 +322,19 @@ def test_pages_hold_p_trials(monkeypatch, block_elements):
     monkeypatch.setattr(properties, "BLOCK_ELEMENTS", block_elements)
     assert properties.P == 1024
     trials = properties.P + 6
-    stacked = _stacked_draws(monkeypatch, "spin_flip", 5, trials, (2,))
-    scalar = _paged_draws("spin_flip", 5, trials, (2,))
-    assert len(stacked) == len(scalar) == trials
-    assert all(np.array_equal(a, b) for a, b in zip(stacked, scalar))
+    for name in ("backward_consistency", "chain_consistency"):
+        stacked = _stacked_draws(monkeypatch, name, 5, trials, (2,))
+        scalar = _paged_draws(name, 5, trials, (2,))
+        members = sum(kind != "normals" for kind, _ in DRAWS[name][2](2))
+        assert len(stacked) == len(scalar) == members * trials
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, scalar))
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 8), (4, 3)])
 def test_each_page_is_drawn_once_per_request(monkeypatch, dims):
     # Pages of 4 trials, so 10 trials span three pages per pass and
-    # dimension.  The circuit pass draws d = 2 for encoding_independence
-    # when --dims lacks it; keys 2 and 6 are retired.
+    # dimension.  The circuit pass draws d = 2 for its d = 2 rows when
+    # --dims lacks it; keys 0, 2, 3, 5 and 6 are retired.
     monkeypatch.setattr(properties, "P", 4)
     opened = []
 
@@ -349,7 +346,7 @@ def test_each_page_is_drawn_once_per_request(monkeypatch, dims):
         properties.run_all(seed=9, trials=10, dims=dims)
     assert len(opened) == len(set(opened))
     drawn = {key: f(dims) for key, f, _ in DRAWS.values()}
-    assert sorted(drawn) == [0, 1, 3, 5, 7]
+    assert sorted(drawn) == [1, 7]
     expected = {(9, key, d, p) for key, ds in drawn.items() for d in ds for p in range(3)}
     assert set(opened) == expected
 
@@ -397,6 +394,20 @@ def test_circuit_rows_read_each_of_their_encodings(faulty):
             for r in properties.check_chain_consistency(4, 40, (2, 3), 1e-9, gate)}
     assert rows["chain_consistency"] == chain
     assert rows["encoding_independence"] == independence
+
+
+@pytest.mark.parametrize("slot", range(3, 11))
+def test_encoding_independence_reads_every_spin_phase(monkeypatch, slot):
+    # A reversal matrix scaled by 2 belongs to no encoding, so its return leg
+    # leaves the photon-number one.  Breaking the stacked d = 2 encodings one
+    # ALPHA_PHASES slot at a time must fail encoding_independence alone; a
+    # row that skipped a phase would pass with that slot broken.
+    matrix = properties._STACKS[2].matrix.copy()
+    matrix[slot] *= 2
+    monkeypatch.setitem(properties._STACKS, 2, SimpleNamespace(d=2, matrix=matrix))
+    for dims in ((2,), (3,)):
+        rows = properties.run_all(seed=1, trials=5, dims=dims)
+        assert [row.name for row in rows if not row.passed] == ["encoding_independence"]
 
 
 def _paged_backward_inputs(seed, trials, dims):
