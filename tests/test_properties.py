@@ -280,9 +280,13 @@ class _CountingGenerator:
 
 # Per pass, the largest array a trial stacks at dimension d.
 _COST = {
-    "backward_consistency": lambda d: d**4,
-    "chain_consistency": lambda d: max(d**3, len(properties.ENCODINGS[d]) * d * d),
+    properties.check_backward_consistency: lambda d: d**4,
+    properties.check_chain_consistency: lambda d: max(d**3, len(properties.ENCODINGS[d]) * d * d),
 }
+
+# The dims each case runs at.  A d = 2 row's circuits are drawn even when 2
+# is not among the dims, so double_reversal draws as much per trial without it.
+_DIMS = {"double_reversal": (3, 4, 8)}
 
 
 @pytest.mark.parametrize(
@@ -292,16 +296,17 @@ _COST = {
         # 2d^2 and 2d^2 normals, and a coin
         ("backward_consistency", 2 * 17 + 4 * 93 + 4),
         # per --dims entry (2 among them) five unitaries and a state, 10d^2
-        # and 2d normals
-        ("chain_consistency", 10 * 93 + 2 * 17),
+        # and 2d normals, from the chain pass the d = 2 rows read
+        ("local_frame_relation", 10 * 93 + 2 * 17),
+        ("double_reversal", 10 * 93 + 2 * 17),
     ],
 )
 def test_blocks_hold_what_a_trial_draws(monkeypatch, name, per_trial):
     # Each page of 64 trials has its own generator, and its blocks split it
     # into runs of at most max(1, BLOCK_ELEMENTS // cost) whole trials, the
     # same for every page of a dimension; the block size moves no value.
-    suite, cost = dict(SUITES)[name], _COST[name]
-    dims, trials = (2, 3, 4, 8), 200
+    suite = dict(SUITES)[name]
+    cost, dims, trials = _COST[suite], _DIMS.get(name, (2, 3, 4, 8)), 200
     monkeypatch.setattr(properties, "P", 64)
     rows = []
     for block_elements in (2**10, 2**16):
