@@ -34,7 +34,7 @@ from .formats import (
     finite_float, load_circuit, load_sequence, load_spin_system, parse_angle, vector_pairs
 )
 from .linalg import DEFAULT_TOL, INPUT_TOL, equal_up_to_global_phase
-from .nmr import fid, pauli_decompose, run_sequence, spectrum
+from .nmr import fid, pauli_decompose, run_sequence, spectrum, validate_label
 from .reversal import is_maximally_entangled, photon_number, spin_half
 
 DEFAULT_SEED = 1234
@@ -293,6 +293,10 @@ def cmd_nmr(args) -> int:
     sequence = load_sequence(args.sequence, system)
     if args.detect is not None and not 1 <= args.detect <= system.n:
         raise ValueError(f"--detect {args.detect} is out of range: spins are 1 to {system.n}")
+    try:
+        validate_label(args.initial, system.n)
+    except ValueError as exc:
+        raise ValueError(f"--initial: {exc}") from None
     rho = run_sequence(system, args.initial, sequence)
     decomposition = pauli_decompose(rho, tol=INPUT_TOL)
     report = {

@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import re
+from itertools import repeat
 
 import numpy as np
 
@@ -58,12 +59,21 @@ def parse_angle(token: str) -> float:
     return value
 
 
-def finite_float(token: str) -> float:
-    """A float literal that must be finite."""
-    value = float(token)
+def finite_float(token: str, name: str = "value") -> float:
+    """A float literal that must be finite, read as the field ``name``."""
+    value = _read(float, name, token)
     if not math.isfinite(value):
         raise ValueError(f"number {token!r} is not finite")
     return value
+
+
+def _read(kind, name: str, token: str):
+    """``token`` read by ``kind``, int or float; an error names the field."""
+    try:
+        return kind(token)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} {token!r} is not {what}") from None
 
 
 def _content_lines(text: str):
@@ -106,16 +116,17 @@ def parse_spin_system(text: str) -> SpinSystem:
         try:
             if key == "spins":
                 (count,) = _exact(key, fields)
-                spins = int(count)
+                spins = _read(int, "count", count)
                 if spins < 1:
                     raise ValueError(f"need at least 1 spin, got {spins}")
                 if spins > MAX_SPINS:
                     raise ValueError(f"spin count {spins} exceeds the limit of {MAX_SPINS}")
             elif key == "larmor":
-                larmor = [finite_float(v) for v in fields]
+                larmor = [finite_float(v, "larmor value") for v in fields]
             elif key == "j":
                 a, b, val = _exact(key, fields)
-                a, b, val = int(a), int(b), finite_float(val)
+                a, b = _read(int, "first spin", a), _read(int, "second spin", b)
+                val = finite_float(val, "coupling")
                 if a == b:
                     _check_self_coupling(a, val)
                 pair = (min(a, b), max(a, b))
@@ -149,9 +160,10 @@ def load_spin_system(path) -> SpinSystem:
         return parse_spin_system(fh.read())
 
 
-def _parse_spins(tokens, n: int) -> tuple[int, ...]:
-    """0-based indices of 1-based spin numbers, each between 1 and ``n``."""
-    spins = tuple(int(v) for v in tokens)
+def _parse_spins(tokens, n: int, names=None) -> tuple[int, ...]:
+    """0-based indices of 1-based spin numbers, each between 1 and ``n``;
+    ``names`` are the tokens' fields, by default each a ``spins entry``."""
+    spins = tuple(_read(int, name, v) for name, v in zip(names or repeat("spins entry"), tokens))
     for spin in spins:
         if not 1 <= spin <= n:
             raise ValueError(f"spin {spin} out of range: spins are 1 to {n}")
@@ -170,13 +182,13 @@ def parse_sequence(text: str, system: SpinSystem) -> list:
                 events.append(Rotation(spins, axis.lower(), parse_angle(angle)))
             elif kind == "jcoupling":
                 a, b, angle = _exact(kind, fields)
-                pair = _parse_spins((a, b), system.n)
+                pair = _parse_spins((a, b), system.n, _FIELDS[kind])
                 events.append(JCoupling(pair, parse_angle(angle)))
                 if system.j[pair] == 0.0:
                     raise ValueError(f"spins {pair[0] + 1} and {pair[1] + 1} have no J coupling")
             elif kind == "delay":
                 (duration,) = _exact(kind, fields)
-                events.append(Delay(finite_float(duration)))
+                events.append(Delay(finite_float(duration, "duration")))
             elif kind == "gradient":
                 (spins,) = _exact(kind, fields)
                 events.append(Gradient(_parse_spins(spins.split(","), system.n)))

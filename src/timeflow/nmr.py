@@ -34,15 +34,16 @@ written as symbol strings over {I, X, Y, Z, 0, 1} where 0 and 1 expand to
 matrix; positivity and unit trace are not required.  Every symbol's factor
 has one nonzero per row, so an initial state is built by one scatter.
 
-Propagation.  Delays, couplings and z rotations are diagonal conjugations,
-``exp(-i angles)`` on the basis states, so :func:`run_sequence` adds their
-angles into one pending vector and applies it in one pass, only before an x
-or y rotation and at the end; a crusher commutes with it and acts at once.
-An x rotation is run as a y rotation in a frame turned about z,
+Propagation.  One fold, :func:`_fold`, applies every event.  Delays,
+couplings and z rotations are diagonal conjugations, ``exp(-i angles)`` on
+the basis states, so the fold adds their angles into one pending vector and
+applies it in one pass, only before an x or y rotation and at the end; a
+crusher commutes with it and acts at once.  An x rotation is run as a y
+rotation in a frame turned about z,
 ``Rx(a) = Rz(-pi/2) Ry(a) Rz(pi/2)`` on each distinct listed spin, whose two
-turns join the pending phase.  Every rotation that touches the dense state is
-then real, and :func:`linalg.apply_local`'s kernel contracts a real gate
-against the real view of the complex state.
+turns join the pending phase.  Every rotation that touches the state is then
+real, and :func:`linalg.apply_local`'s kernel contracts a real gate against
+the real view of the complex state.
 
 A sequence runs on the columns that can be nonzero.  A spin is pulsed when
 an x or y rotation of the sequence lists it, with either sign; a z rotation
@@ -60,10 +61,10 @@ first buffer again after each spin; the phase flushes multiply the rows in
 place and the columns through the index array, and a crusher zeroes the
 elements whose row and full column differ on a crushed spin's bit.  The
 result is always the dense 2**n x 2**n matrix: the state itself when every
-spin is pulsed, else the state scattered into a zero matrix.  The per-event
+spin is pulsed, else the state scattered into a zero matrix.  The public
 kernels :func:`evolve`, :func:`apply_jcoupling`, :func:`apply_rotation` and
-:func:`gradient_crush` stay public, share the same angle formulas and passes
-on the dense state, and return a new array without writing into their input.
+:func:`gradient_crush` are one-event runs of the fold on a copy of the dense
+state with every spin pulsed: complex128, or a crusher's input dtype.
 
 Events check themselves when built, and the kernels build one from their
 arguments; :func:`run_sequence` checks the events against the system first.
@@ -77,7 +78,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import ATOL, _apply_local_into, apply_local, rx, ry
+from .linalg import ATOL, _apply_local_into, apply_local, ry
 
 # Each symbol's 2 x 2 factor as (the nonzeros of rows 0 and 1, flip): row r
 # has its one nonzero in column r ^ flip.  I, Z, 0 and 1 are diagonal; X and Y
@@ -92,7 +93,6 @@ _SYMBOL_FACTORS = {
 }
 
 AXES = ("x", "y", "z")
-_ROTATIONS = {"x": rx, "y": ry}
 
 # tr(block @ P) for P = I, X, Y, Z, on a spin's 2 x 2 block flattened as
 # (rho00, rho01, rho10, rho11)
@@ -251,16 +251,13 @@ def build_hamiltonian(s: SpinSystem) -> np.ndarray:
     return energies
 
 
-def _phase(rho: np.ndarray, angles: np.ndarray, out=None, col=slice(None)) -> np.ndarray:
-    """Conjugation by diag(exp(-i angles)): element (k, l) gains the phase
-    exp(-i (angles_k - angles_l)).  Written into ``out``, which may be
-    ``rho``, or into a new array.  ``col`` picks each element's column
-    phase: by default the columns are the basis states, and a reduced state
-    passes its full column indices (see :func:`run_sequence`)."""
+def _phase(rho: np.ndarray, angles: np.ndarray, col) -> None:
+    """Conjugation by diag(exp(-i angles)), in place: element (k, l) gains
+    the phase exp(-i (angles_k - angles_l)), with ``col`` each element's full
+    column index l, or one per column (see :func:`run_sequence`)."""
     p = np.exp(-1j * angles)
-    out = np.multiply(rho, p[:, None], out=out)
-    out *= p.conj()[col]
-    return out
+    rho *= p[:, None]
+    rho *= p.conj()[col]
 
 
 # The phase angles of each diagonal event, one per basis state; conjugation
@@ -298,14 +295,13 @@ def evolve(rho: np.ndarray, energies: np.ndarray, t: float) -> np.ndarray:
     """Conjugation by exp(-i diag(energies) t); preserves trace and eigenvalues.
 
     ``energies`` are the generator's diagonal as :func:`build_hamiltonian`
-    gives it: one real, finite value per row of the square ``rho``; the time
-    ``t`` must be finite."""
-    rho = np.asarray(rho)
-    energies = np.asarray(energies)
+    gives it: one real, finite value per row of the square ``rho``, whose
+    side is a power of two; the time ``t`` must be finite."""
+    rho, energies = np.asarray(rho), np.asarray(energies)
     if not (energies.dtype.kind in "iuf" and rho.shape == 2 * energies.shape):
         raise ValueError("generator must be one real, finite energy per row of the state")
     _check_finite("evolution time", t)
-    return _phase(rho, _free_angles(energies, t))
+    return _one_event(rho, Delay(t), energies=energies)
 
 
 def split_axis(axis: str) -> tuple[str, float]:
@@ -326,37 +322,13 @@ def apply_rotation(rho: np.ndarray, spins, axis: str, angle: float) -> np.ndarra
     one phase pass for all the listed spins.
     """
     ev = Rotation(spins, axis, angle)
-    ax, sign = split_axis(ev.axis)
-    rho = np.asarray(rho)
-    n = _spin_count(rho, ev.spins)
-    if ax == "z":
-        return _phase(rho, _z_angles(_z_signs(n), ev.spins, sign * ev.angle))
-    gate = _ROTATIONS[ax](sign * ev.angle)
-    out = np.empty(rho.shape, np.result_type(rho, gate))
-    return _rotate(rho, n, range(n), ev.spins, gate, out, np.empty_like(out))
-
-
-def _rotate(rho, n, pulsed, spins, gate, out, spare):
-    """Per listed spin, ``gate`` on the row axis from the state into
-    ``spare``, then its conjugate on the column axis into ``out``: the state
-    is ``rho`` before the first spin and ``out`` after it, and ``out`` may be
-    ``rho``.  ``rho`` is a (2**n, 2**m) state whose columns hold the bits of
-    the m ``pulsed`` spins, in order; every listed spin must be one of them.
-    Returns the final state, ``rho`` itself if no spin is listed."""
-    shape = (2,) * (n + len(pulsed))
-    t, out, spare = rho.reshape(shape), out.reshape(shape), spare.reshape(shape)
-    for spin in spins:
-        _apply_local_into(t, spin, gate, spare)
-        t = _apply_local_into(spare, n + pulsed.index(spin), gate.conj(), out)
-    return t.reshape(rho.shape)
+    return _one_event(rho, ev, ev.spins)
 
 
 def apply_jcoupling(rho: np.ndarray, pair, angle: float) -> np.ndarray:
     """Pure ZZ phase evolution exp(-i angle/2 Z_i Z_j) on a spin pair."""
     ev = JCoupling(pair, angle)
-    rho = np.asarray(rho)
-    n = _spin_count(rho, ev.pair)
-    return _phase(rho, _zz_angles(_z_signs(n), ev.pair, ev.angle))
+    return _one_event(rho, ev, ev.pair)
 
 
 def gradient_crush(rho: np.ndarray, spins) -> np.ndarray:
@@ -366,19 +338,16 @@ def gradient_crush(rho: np.ndarray, spins) -> np.ndarray:
     operation is idempotent and trace-preserving.
     """
     ev = Gradient(spins)
+    return _one_event(rho, ev, ev.spins, dtype=None)
+
+
+def _one_event(rho, ev, spins=(), energies=None, dtype=complex):
+    """``ev``, which lists ``spins``, folded over a C-ordered copy of the
+    dense state with every spin pulsed; a ``dtype`` of None keeps rho's."""
     rho = np.asarray(rho)
-    n = _spin_count(rho, ev.spins)
-    return _crush(rho.copy(), n, np.arange(2**n), ev.spins)
-
-
-def _crush(rho, n, col, spins):
-    """Zero, in place, every element whose row and column differ on a listed
-    spin's bit, and return ``rho``.  ``col`` holds each element's full
-    column index, or one per column when every element of a column has the
-    same one."""
-    key = _spin_mask(n, spins)
-    np.putmask(rho, (np.arange(2**n) & key)[:, None] != (col & key), 0)
-    return rho
+    n = _spin_count(rho, spins)
+    copy = rho.astype(dtype or rho.dtype, order="C")
+    return _fold(copy, n, energies, (ev,), range(n), np.arange(2**n))
 
 
 def validate_label(label: str, n: int | None = None) -> str:
@@ -467,8 +436,22 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
     col = cols if len(pulsed) == n else ((rows ^ flip) & ~mask)[:, None] | cols
     rho = np.zeros((2**n, len(cols)), dtype=complex)
     rho[rows, np.searchsorted(cols, (rows ^ flip) & mask)] = vals
-    spare = np.empty_like(rho)
-    energies = build_hamiltonian(s)
+    _fold(rho, n, build_hamiltonian(s), seq, pulsed, col)
+    if len(pulsed) == n:
+        return rho
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    out[rows[:, None], col] = rho
+    return out
+
+
+def _fold(rho, n, energies, seq, pulsed, col):
+    """Apply the checked events of ``seq`` in place to the C-contiguous
+    (2**n, 2**m) state ``rho``, whose columns hold the bits of the m
+    ``pulsed`` spins in order, and return it; every spin an x or y rotation
+    lists is pulsed.  ``col`` is each element's full column index, or one per
+    column when a column's elements share it; delays read ``energies``."""
+    shape = (2,) * (n + len(pulsed))  # one axis per row bit and pulsed spin
+    t, spare = rho.reshape(shape), np.empty_like(rho).reshape(shape)
     zs = _z_signs(n)
     pending = None  # the angles of the diagonal events not yet applied
     for ev in seq:
@@ -480,25 +463,25 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
                 frame = _z_angles(zs, set(ev.spins), np.pi / 2) if ax == "x" else None
                 pending = _join(pending, frame)
                 if pending is not None:
-                    _phase(rho, pending, rho, col)
-                _rotate(rho, n, pulsed, ev.spins, ry(sign * ev.angle), rho, spare)
+                    _phase(rho, pending, col)
+                gate = ry(sign * ev.angle)
+                for spin in ev.spins:  # the row pass into the spare, the column pass back
+                    _apply_local_into(t, spin, gate, spare)
+                    _apply_local_into(spare, n + pulsed.index(spin), gate.conj(), t)
                 pending = None if frame is None else -frame
                 continue
         elif isinstance(ev, JCoupling):
             angles = _zz_angles(zs, ev.pair, ev.angle)
         elif isinstance(ev, Delay):
             angles = _free_angles(energies, ev.duration)
-        else:
-            _crush(rho, n, col, ev.spins)
+        else:  # zero the elements whose row and column differ on a crushed bit
+            key = _spin_mask(n, ev.spins)
+            np.putmask(rho, (np.arange(2**n) & key)[:, None] != (col & key), 0)
             continue
         pending = _join(pending, angles)
     if pending is not None:
-        _phase(rho, pending, rho, col)
-    if len(pulsed) == n:
-        return rho
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    out[rows[:, None], col] = rho
-    return out
+        _phase(rho, pending, col)
+    return rho
 
 
 def _check_sequence(s: SpinSystem, seq) -> tuple[int, ...]:

@@ -6,6 +6,13 @@ events into one phase pass and runs every pass in two buffers it owns,
 ``linalg.apply_local`` writes into a given output, and ``timeflow nmr``
 writes its CSV exports a column at a time; these explicit forms are what the
 tests hold them to.
+
+The public NMR kernels are one-event runs of the same fold as
+``run_sequence``, so :func:`event_by_event` checks only the fold on reduced
+columns and its merging of pending phases across events.  The x rotation's
+frame turns are checked independently by ``dense_sequence`` and
+``TestAgainstDenseForms.test_apply_rotation`` in ``test_nmr.py``, whose
+kron-built gates use the x axes of ``SIGNED_AXES``.
 """
 
 import csv
@@ -68,7 +75,8 @@ def entangled_basis(omega: np.ndarray) -> list[np.ndarray]:
 
 def event_by_event(s, init, seq):
     """The state after ``seq`` with one public kernel call per event, in
-    order: the reference for ``run_sequence``'s pending phase and x frame."""
+    order: each a one-event fold on the dense state, the reference for
+    ``run_sequence``'s reduced columns and pending-phase merge."""
     rho = pseudopure_init(init)
     energies = build_hamiltonian(s)
     for ev in seq:

@@ -372,6 +372,23 @@ class TestNmr:
         assert captured.out == ""
         assert f"--detect {detect} is out of range: spins are 1 to 4" in captured.err
 
+    @pytest.mark.parametrize(
+        "label,message",
+        [
+            ("X00", "--initial: label 'X00' must have length 4"),
+            ("X0-X", "--initial: invalid symbol '-'; allowed: I X Y Z 0 1"),
+        ],
+    )
+    def test_bad_initial_label_names_the_flag(self, capsys, label, message):
+        code = main(
+            ["nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys", "--sequence",
+             f"{CONFIGS}/flip_off.seq", "--initial", label]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_detect_without_acquisition_params(self, capsys):
         code, _ = run_cli(
             capsys,

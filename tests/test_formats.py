@@ -121,6 +121,20 @@ class TestSpinSystemFile:
         with pytest.raises(ValueError, match=f"line 3: missing field '{field}'"):
             parse_spin_system(f"spins 2\nlarmor 0.0 1.0\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("j 1 oops 4", "second spin 'oops' is not an integer"),
+            ("j 1.5 2 3", "first spin '1.5' is not an integer"),
+            ("j 1 2 x", "coupling 'x' is not a number"),
+            ("spins two", "count 'two' is not an integer"),
+            ("larmor 0 x", "larmor value 'x' is not a number"),
+        ],
+    )
+    def test_unparsed_number_names_its_field(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(f"spin-system file line 3: {message}")):
+            parse_spin_system(f"spins 2\nlarmor 0.0 1.0\n{line}\n")
+
     @pytest.mark.parametrize("value", [0.0, 5.0])
     def test_self_coupling_rule_is_the_same_at_every_entry_point(self, value):
         # SpinSystem owns the rule; the file adds its line and its numbering.
@@ -241,6 +255,20 @@ class TestSequenceFile:
     )
     def test_short_line_names_the_missing_field(self, line, field):
         with pytest.raises(ValueError, match=f"line 2: missing field '{field}'"):
+            parse_sequence(f"delay 0.1\n{line}\n", SYSTEM)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("rotation 1,x y pi/2", "spins entry 'x' is not an integer"),
+            ("rotation , y pi/2", "spins entry '' is not an integer"),
+            ("gradient 2,1.0", "spins entry '1.0' is not an integer"),
+            ("jcoupling 1 b pi/2", "second spin 'b' is not an integer"),
+            ("delay abc", "duration 'abc' is not a number"),
+        ],
+    )
+    def test_unparsed_number_names_its_field(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(f"sequence file line 2: {message}")):
             parse_sequence(f"delay 0.1\n{line}\n", SYSTEM)
 
     def test_self_coupling_reports_line(self):

@@ -322,20 +322,29 @@ class TestGradientCrush:
             gradient_crush(X, ())
 
 
-@pytest.mark.parametrize("shape", [(6, 6), (4, 2)], ids=["6x6", "4x2"])
+SIDE_KERNELS = {
+    "apply_rotation": lambda rho: apply_rotation(rho, (0,), "x", 1.0),
+    "apply_jcoupling": lambda rho: apply_jcoupling(rho, (0, 1), 1.0),
+    "gradient_crush": lambda rho: gradient_crush(rho, (0,)),
+    "pauli_decompose": pauli_decompose,
+    "evolve": lambda rho: evolve(rho, np.zeros(len(rho)), 1.0),
+}
+
+
+# evolve first asks for one energy per row of a square state, so only its
+# 6 x 6 case reaches the side check (TestEvolve has the 4 x 2 one)
 @pytest.mark.parametrize(
-    "kernel",
+    "kernel,shape",
     [
-        lambda rho: apply_rotation(rho, (0,), "x", 1.0),
-        lambda rho: apply_jcoupling(rho, (0, 1), 1.0),
-        lambda rho: gradient_crush(rho, (0,)),
-        pauli_decompose,
+        pytest.param(kernel, shape, id=f"{kernel}-{shape[0]}x{shape[1]}")
+        for kernel in SIDE_KERNELS
+        for shape in [(6, 6), (4, 2)]
+        if kernel != "evolve" or shape == (6, 6)
     ],
-    ids=["apply_rotation", "apply_jcoupling", "gradient_crush", "pauli_decompose"],
 )
 def test_state_side_must_be_a_power_of_two(kernel, shape):
     with pytest.raises(ValueError, match="matrix side must be a power of two"):
-        kernel(np.eye(*shape))
+        SIDE_KERNELS[kernel](np.eye(*shape))
 
 
 class TestPseudopure:
@@ -1109,11 +1118,36 @@ KERNELS = {
 }
 
 
+# What the NMR kernels return for a float64 state: a crusher keeps its
+# input's dtype, and every other kernel returns complex128.
+FLOAT_RESULT_DTYPES = {
+    "apply_rotation y": np.complex128,
+    "apply_rotation -x": np.complex128,
+    "apply_rotation z": np.complex128,
+    "evolve": np.complex128,
+    "apply_jcoupling": np.complex128,
+    "gradient_crush": np.float64,
+}
+
+
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_public_kernels_leave_their_input_unchanged(kernel):
-    rho = _hermitian(16, np.random.default_rng(17))
+    complex_rho = _hermitian(16, np.random.default_rng(17))
     energies = build_hamiltonian(FOUR_SPINS)
-    before, energies_before = rho.tobytes(), energies.tobytes()
-    out = KERNELS[kernel](rho, energies)
-    assert rho.tobytes() == before and energies.tobytes() == energies_before
-    assert not (isinstance(out, np.ndarray) and np.shares_memory(out, rho))
+    for rho in (complex_rho, complex_rho.real.copy()):
+        before, energies_before = rho.tobytes(), energies.tobytes()
+        out = KERNELS[kernel](rho, energies)
+        assert rho.tobytes() == before and energies.tobytes() == energies_before
+        assert not (isinstance(out, np.ndarray) and np.shares_memory(out, rho))
+        if kernel in FLOAT_RESULT_DTYPES:
+            expected = FLOAT_RESULT_DTYPES[kernel] if rho.dtype == float else np.complex128
+            assert out.dtype == expected
+
+
+@pytest.mark.parametrize("kernel", sorted(FLOAT_RESULT_DTYPES))
+def test_public_kernels_read_a_fortran_ordered_state(kernel):
+    # the kernels fold over a copy in place, through C-ordered reshapes
+    rho = _hermitian(16, np.random.default_rng(18))
+    energies = build_hamiltonian(FOUR_SPINS)
+    out = KERNELS[kernel](np.asfortranarray(rho), energies)
+    assert np.array_equal(out, KERNELS[kernel](rho, energies))
