@@ -34,7 +34,7 @@ from .formats import (
     finite_float, load_circuit, load_sequence, load_spin_system, parse_angle, vector_pairs
 )
 from .linalg import DEFAULT_TOL, INPUT_TOL, equal_up_to_global_phase
-from .nmr import fid, pauli_decompose, run_sequence, spectrum, validate_label
+from .nmr import _decompose, _fid, _run_reduced, spectrum, validate_label
 from .reversal import is_maximally_entangled, photon_number, spin_half
 
 DEFAULT_SEED = 1234
@@ -103,9 +103,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    A nonempty ``decomposition`` dict, which can hold thousands of terms, is
+    written by the C encoder: its item separator starts each term on a line
+    of its own at the depth where ``indent=2`` puts it.  Every other value
+    is written with ``indent=2`` and its lines indented one level deeper.
+    """
+    terms = report.get("decomposition")
+    if not (isinstance(terms, dict) and terms):
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    parts = []
+    for key in sorted(report):
+        if key == "decomposition":
+            flat = json.dumps(terms, sort_keys=True, separators=(",\n    ", ": "))
+            value = "{\n    " + flat[1:-1] + "\n  }"
+        else:  # the encoder escapes every newline inside a string
+            value = json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        parts.append(f"  {json.dumps(key)}: {value}")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
 def _emit(report: dict, rows: list[dict], args) -> None:
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _json_text(report)
     else:
         buf = io.StringIO()
         for key, val in sorted(report.get("config", {}).items()):
@@ -297,8 +319,9 @@ def cmd_nmr(args) -> int:
         validate_label(args.initial, system.n)
     except ValueError as exc:
         raise ValueError(f"--initial: {exc}") from None
-    rho = run_sequence(system, args.initial, sequence)
-    decomposition = pauli_decompose(rho, tol=INPUT_TOL)
+    # the reduced state is read as it is: never scattered into the dense matrix
+    state = _run_reduced(system, args.initial, sequence)
+    labels, coeffs = _decompose(state, INPUT_TOL)
     report = {
         "command": "nmr",
         "config": {
@@ -307,15 +330,15 @@ def cmd_nmr(args) -> int:
             "sequence": args.sequence,
             "initial": args.initial,
         },
-        "decomposition": {label: coeff for label, coeff in decomposition},
+        "decomposition": dict(zip(labels, coeffs)),
     }
     rows = []
     if args.format == "csv":
-        rows = [{"term": label, "coefficient": coeff} for label, coeff in decomposition]
+        rows = [{"term": label, "coefficient": coeff} for label, coeff in zip(labels, coeffs)]
 
     if args.detect is not None:
         detect = args.detect - 1
-        signal = fid(system, rho, detect, args.duration, args.points)
+        signal = _fid(system, state, detect, args.duration, args.points)
         dwell = args.duration / args.points
         spec = spectrum(signal, dwell, args.broadening)
         if args.fid_out:

@@ -30,8 +30,9 @@ from .nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem, _check_self_c
 from .properties import MAX_DIM
 from .reversal import canonical_pair, photon_number
 
-# Largest spin count of a spin-system file: run_sequence returns a dense
-# 2**n x 2**n complex matrix, 256 MiB at n = 12 and 4 GiB at n = 14.
+# Largest spin count of a spin-system file.  A sequence that pulses every spin
+# folds a dense 2**n x 2**n complex state, 256 MiB at n = 12 and 4 GiB at
+# n = 14, and its report can hold 4**n terms.
 MAX_SPINS = 12
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d*)?))?$")
@@ -63,7 +64,7 @@ def finite_float(token: str, name: str = "value") -> float:
     """A float literal that must be finite, read as the field ``name``."""
     value = _read(float, name, token)
     if not math.isfinite(value):
-        raise ValueError(f"number {token!r} is not finite")
+        raise ValueError(f"{name} {token!r} is not finite")
     return value
 
 

@@ -27,6 +27,10 @@ DEFAULT_TOL = 1e-9  # the verify suites' pass threshold and the CLI --tol defaul
 # inner sizes up to 16 win and 32 or more lose.
 _GEMM_INNER = 32
 _GEMM_INNER_REAL = 16
+# Fewest gemm rows, left = size / (d * right), worth the kron(op^T, 1_right)
+# block that the gemm builds on every call; below it the stacked product is
+# faster.
+_GEMM_ROWS = 128
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -93,12 +97,12 @@ def _apply_local_into(t: np.ndarray, axis: int, op: np.ndarray, out: np.ndarray)
     left = math.prod(t.shape[:axis])
     d, *rest = t.shape[axis:]
     right = math.prod(rest)
-    src, dst, bound = t, out, _GEMM_INNER
-    real_op = not (np.iscomplexobj(op) and op.imag.any())
-    if real_op and t.dtype.kind == "c" and t.flags.c_contiguous:
+    src, dst = t, out
+    real_view = t.dtype.kind == "c" and t.flags.c_contiguous and _is_real(op)
+    if real_view:
         op, src, dst = op.real, t.view(t.real.dtype), out.view(out.real.dtype)
-        right, bound = 2 * right, _GEMM_INNER_REAL
-    if d * right <= bound:
+        right *= 2
+    if _use_gemm(left, d, right, real_view):
         # kron(op^T, 1_right) by broadcasting; np.kron costs more than the
         # product itself on a small state
         block = (op.T[:, None, :, None] * np.eye(right)[:, None]).reshape(d * right, -1)
@@ -106,6 +110,18 @@ def _apply_local_into(t: np.ndarray, axis: int, op: np.ndarray, out: np.ndarray)
     else:
         np.matmul(op, src.reshape(left, d, right), out=dst.reshape(left, d, right))
     return out
+
+
+def _is_real(op: np.ndarray) -> bool:
+    """Whether ``op`` has no imaginary part: a real array skips the scan."""
+    return not (np.iscomplexobj(op) and op.imag.any())
+
+
+def _use_gemm(left: int, d: int, right: int, real_view: bool) -> bool:
+    """Whether :func:`apply_local` contracts an axis of size ``d`` as one gemm
+    rather than ``left`` stacked products; ``right`` counts the elements after
+    the axis that the products run on, doubled on the real view."""
+    return d * right <= (_GEMM_INNER_REAL if real_view else _GEMM_INNER) and left >= _GEMM_ROWS
 
 
 def projector(v: np.ndarray) -> np.ndarray:

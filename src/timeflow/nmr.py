@@ -59,9 +59,13 @@ rotation's row pass on a spin writes into the spare and its column pass, on
 the axis of that spin's column bit, writes back, so the state is in the
 first buffer again after each spin; the phase flushes multiply the rows in
 place and the columns through the index array, and a crusher zeroes the
-elements whose row and full column differ on a crushed spin's bit.  The
-result is always the dense 2**n x 2**n matrix: the state itself when every
-spin is pulsed, else the state scattered into a zero matrix.  The public
+elements whose row and full column differ on a crushed spin's bit.
+:func:`run_sequence` returns the dense 2**n x 2**n matrix: the state itself
+when every spin is pulsed, else the state scattered into a zero matrix.
+``timeflow nmr`` reads its report off the reduced state instead:
+:func:`_decompose` gives each unpulsed spin a 2 x 2 part of the Pauli trace
+map, and :func:`_coherences` finds the detected elements among its columns,
+so neither the dense matrix nor the 4**n tensor is built.  The public
 kernels :func:`evolve`, :func:`apply_jcoupling`, :func:`apply_rotation` and
 :func:`gradient_crush` are one-event runs of the fold on a copy of the dense
 state with every spin pulsed: complex128, or a crusher's input dtype.
@@ -75,6 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +102,7 @@ AXES = ("x", "y", "z")
 # tr(block @ P) for P = I, X, Y, Z, on a spin's 2 x 2 block flattened as
 # (rho00, rho01, rho10, rho11)
 _PAULI_TRACE = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+_LETTERS = np.array(list("IXYZ"))
 
 
 @dataclass(frozen=True)
@@ -346,8 +352,8 @@ def _one_event(rho, ev, spins=(), energies=None, dtype=complex):
     dense state with every spin pulsed; a ``dtype`` of None keeps rho's."""
     rho = np.asarray(rho)
     n = _spin_count(rho, spins)
-    copy = rho.astype(dtype or rho.dtype, order="C")
-    return _fold(copy, n, energies, (ev,), range(n), np.arange(2**n))
+    state = _dense(rho.astype(dtype or rho.dtype, order="C"), n)
+    return _fold(state.rho, n, energies, (ev,), state.pulsed, state.col)
 
 
 def validate_label(label: str, n: int | None = None) -> str:
@@ -380,6 +386,31 @@ def _expand_label(label: str) -> tuple[np.ndarray, int]:
     return vals, int("".join(map(str, flips)), 2)
 
 
+class _Reduced(NamedTuple):
+    """A deviation state on the columns that can be nonzero: ``rho`` is
+    (2**n, 2**m), its column c holding the bits of the m ``pulsed`` spins, in
+    order; every other spin's column bit is its row bit xor that spin's bit
+    of ``flip``.  ``col`` is each element's full column index, or one per
+    column when every spin is pulsed."""
+
+    rho: np.ndarray
+    pulsed: tuple[int, ...]
+    flip: int
+    col: np.ndarray
+
+
+def _dense(rho: np.ndarray, n: int) -> _Reduced:
+    """The dense 2**n x 2**n state as the reduced one with every spin pulsed."""
+    return _Reduced(rho, tuple(range(n)), 0, np.arange(2**n))
+
+
+def _reduced_column(n: int, pulsed, full):
+    """The reduced column that holds full column index ``full``: the bits of
+    the ``pulsed`` spins, in order."""
+    m = len(pulsed)
+    return sum(((full >> _bit(n, k)) & 1) << (m - 1 - i) for i, k in enumerate(pulsed))
+
+
 def pauli_decompose(rho: np.ndarray, tol: float = ATOL) -> list[tuple[str, float]]:
     """Expansion over the n-spin Pauli product basis.
 
@@ -392,15 +423,55 @@ def pauli_decompose(rho: np.ndarray, tol: float = ATOL) -> list[tuple[str, float
     2023), so the cost is O(n 4**n) rather than a matrix product per label.
     """
     rho = np.asarray(rho)
-    n = _spin_count(rho)
-    order = [axis for k in range(n) for axis in (k, n + k)]
-    t = rho.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
+    return list(zip(*_decompose(_dense(rho, _spin_count(rho)), tol)))
+
+
+def _decompose(state: _Reduced, tol: float) -> tuple[list[str], list[float]]:
+    """The labels and coefficients of :func:`pauli_decompose`, read off the
+    reduced state.
+
+    A pulsed spin pairs its row axis with its column axis and takes the
+    4 x 4 trace map.  An unpulsed spin k keeps its row axis, its column bit
+    being the row bit xor f_k, the bit of ``state.flip``; its elements are
+    the diagonal of its block when f_k = 0 and the anti-diagonal when
+    f_k = 1, so it takes the 2 x 2 part of the map on those two entries:
+    letters I and Z, or X and Y, every other letter's coefficient being
+    zero.  Row-major order over these axes is the label order of
+    ``itertools.product("IXYZ")``, and each coefficient sums the same
+    elements, two per axis, as on the dense state.
+    """
+    rho, pulsed, flip = state.rho, state.pulsed, state.flip
+    n = rho.shape[0].bit_length() - 1
+    order, picks = [], []
     for k in range(n):
-        t = apply_local(t, k, _PAULI_TRACE)
+        if k in pulsed:
+            order += [k, n + pulsed.index(k)]
+            picks.append([0, 1, 2, 3])
+        else:
+            order.append(k)
+            picks.append([1, 2] if flip >> _bit(n, k) & 1 else [0, 3])
+    shape = [len(pick) for pick in picks]
+    t = rho.reshape((2,) * len(order)).transpose(order).reshape(shape)
+    for k, pick in enumerate(picks):
+        t = apply_local(t, k, _PAULI_TRACE[np.ix_(pick, pick)])
     coeffs = t.real.reshape(-1) / 2**n
     kept = np.flatnonzero(np.abs(coeffs) > tol)
-    letters = np.array(list("IXYZ"))[np.stack(np.unravel_index(kept, (4,) * n), -1)]
-    return list(zip(letters.view(f"<U{n}").ravel().tolist(), coeffs[kept].tolist()))
+    # each label joins a row of the first half's grid and one of the second's
+    half = n // 2
+    head, tail = np.divmod(kept, math.prod(shape[half:]))
+    labels = np.empty((len(kept), n), dtype="<U1")
+    labels[:, :half] = _label_grid(picks[:half])[head]
+    labels[:, half:] = _label_grid(picks[half:])[tail]
+    return labels.view(f"<U{n}").ravel().tolist(), coeffs[kept].tolist()
+
+
+def _label_grid(picks) -> np.ndarray:
+    """Every label over spins whose letters are the ``picks`` of "IXYZ", in
+    row-major order: one row per label, one column per spin."""
+    grid = np.empty([len(pick) for pick in picks] + [len(picks)], dtype="<U1")
+    for k, pick in enumerate(picks):
+        grid[..., k] = _LETTERS[pick].reshape([-1 if a == k else 1 for a in range(len(picks))])
+    return grid.reshape(-1, len(picks)) if picks else grid.reshape(1, 0)
 
 
 def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
@@ -420,9 +491,20 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
     The fold runs on the columns that can be nonzero: a spin that no x or y
     rotation lists keeps the column bit its label gave it, so the state is a
     (2**n, 2**m) array over the m pulsed spins' column bits, in two buffers
-    for the whole call (see the module notes).  The result is the dense
-    2**n x 2**n deviation matrix.
+    for the whole call (see the module notes).  The result is that state
+    scattered into the dense 2**n x 2**n deviation matrix.
     """
+    state = _run_reduced(s, init, seq)
+    if len(state.pulsed) == s.n:
+        return state.rho
+    out = np.zeros((2**s.n, 2**s.n), dtype=complex)
+    out[np.arange(2**s.n)[:, None], state.col] = state.rho
+    return out
+
+
+def _run_reduced(s: SpinSystem, init: str, seq) -> _Reduced:
+    """The state after the checked events of ``seq``, folded on the columns
+    that can be nonzero (see :func:`run_sequence`)."""
     n = s.n
     vals, flip = _expand_label(validate_label(init, n))
     seq = tuple(seq)
@@ -435,13 +517,9 @@ def run_sequence(s: SpinSystem, init: str, seq) -> np.ndarray:
     # reduced column, the others its row's, flipped by the label
     col = cols if len(pulsed) == n else ((rows ^ flip) & ~mask)[:, None] | cols
     rho = np.zeros((2**n, len(cols)), dtype=complex)
-    rho[rows, np.searchsorted(cols, (rows ^ flip) & mask)] = vals
+    rho[rows, _reduced_column(n, pulsed, rows ^ flip)] = vals
     _fold(rho, n, build_hamiltonian(s), seq, pulsed, col)
-    if len(pulsed) == n:
-        return rho
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    out[rows[:, None], col] = rho
-    return out
+    return _Reduced(rho, pulsed, flip, col)
 
 
 def _fold(rho, n, energies, seq, pulsed, col):
@@ -464,10 +542,10 @@ def _fold(rho, n, energies, seq, pulsed, col):
                 pending = _join(pending, frame)
                 if pending is not None:
                     _phase(rho, pending, col)
-                gate = ry(sign * ev.angle)
+                gate = ry(sign * ev.angle).real  # real, so its own conjugate
                 for spin in ev.spins:  # the row pass into the spare, the column pass back
                     _apply_local_into(t, spin, gate, spare)
-                    _apply_local_into(spare, n + pulsed.index(spin), gate.conj(), t)
+                    _apply_local_into(spare, n + pulsed.index(spin), gate, t)
                 pending = None if frame is None else -frame
                 continue
         elif isinstance(ev, JCoupling):
@@ -562,22 +640,22 @@ def fid(
     2 sqrt(points) exponentials, and one matrix product over the lines sums
     a ceil(points / b) x b grid whose first ``points`` samples are the signal.
     """
+    return _fid(s, _dense(np.asarray(rho0), s.n), detect, duration, points)
+
+
+def _fid(s: SpinSystem, state: _Reduced, detect: int, duration: float, points: int):
+    """:func:`fid` of a dense or reduced state."""
     if not isinstance(points, (int, np.integer)):
         raise ValueError(f"points must be an integer, got {points!r}")
     if points < 2:
         raise ValueError("need at least two points")
     if not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be finite and positive, got {duration}")
-    rho0 = np.asarray(rho0)
     n = s.n
-    if rho0.shape != (2**n, 2**n):
+    if state.rho.shape != (2**n, 2 ** len(state.pulsed)):
         raise ValueError("state size does not match the spin system")
-    _spin_count(rho0, (detect,))
-    # X_d + i Y_d = 2 |0><1| on the detected spin, so the detector sees
-    # 2 rho0[r, r ^ mask] for each row r with that spin's bit set.
-    mask = _spin_mask(n, (detect,))
-    rows = np.flatnonzero(np.arange(2**n) & mask)
-    seen = 2 * rho0[rows, rows ^ mask]
+    _check_spins(n, (detect,))
+    rows, seen = _coherences(state, n, detect)
     if not np.all(np.isfinite(seen)):
         raise ValueError("the detected coherences must be finite")
     keep = np.abs(seen) > 1e-300
@@ -592,6 +670,20 @@ def fid(
     coarse *= seen
     fine = np.exp(-1j * np.outer(np.arange(b) * dt, freq))
     return (coarse @ fine.T).reshape(-1)[:points]
+
+
+def _coherences(state: _Reduced, n: int, detect: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows r with the detected spin's bit set and what the detector
+    sees in each: X_d + i Y_d = 2 |0><1| on that spin, so ``2 rho[r, r ^
+    mask]`` for that spin's bit ``mask``.  On a reduced state that element
+    is in column :func:`_reduced_column` of ``r ^ mask`` when every unpulsed
+    spin's column bit is its row bit xor its bit of ``mask``, and zero
+    otherwise."""
+    mask = _spin_mask(n, (detect,))
+    rows = np.flatnonzero(np.arange(2**n) & mask)
+    if (mask ^ state.flip) & ~_spin_mask(n, state.pulsed):
+        return rows, np.zeros(len(rows), dtype=complex)
+    return rows, 2 * state.rho[rows, _reduced_column(n, state.pulsed, rows ^ mask)]
 
 
 def _line_frequencies(s: SpinSystem, detect: int, rows: np.ndarray) -> np.ndarray:

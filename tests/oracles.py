@@ -4,8 +4,8 @@ The outcome kernel ``circuits._outcome_amplitudes`` rolls and phases the
 input instead of building a basis, ``nmr.run_sequence`` folds its diagonal
 events into one phase pass and runs every pass in two buffers it owns,
 ``linalg.apply_local`` writes into a given output, and ``timeflow nmr``
-writes its CSV exports a column at a time; these explicit forms are what the
-tests hold them to.
+writes its CSV exports a column at a time and its decomposition with the C
+JSON encoder; these explicit forms are what the tests hold them to.
 
 The public NMR kernels are one-event runs of the same fold as
 ``run_sequence``, so :func:`event_by_event` checks only the fold on reduced
@@ -16,11 +16,12 @@ kron-built gates use the x axes of ``SIGNED_AXES``.
 """
 
 import csv
+import json
 import math
 
 import numpy as np
 
-from timeflow.linalg import _GEMM_INNER, _GEMM_INNER_REAL, ry
+from timeflow.linalg import _is_real, _use_gemm, ry
 from timeflow.nmr import (
     Delay,
     JCoupling,
@@ -93,16 +94,17 @@ def event_by_event(s, init, seq):
 
 def allocating_apply_local(t, axis, op):
     """``linalg.apply_local`` as it was before it wrote into a given output:
-    the same gemm bounds and real view, each product a fresh array."""
+    the same choice of gemm or stacked product, from the kernel's own
+    predicate, and the same real view, each product a fresh array."""
     t, op = np.asarray(t), np.asarray(op)
     left = math.prod(t.shape[:axis])
     d, *rest = t.shape[axis:]
     right = math.prod(rest)
-    src, bound = t, _GEMM_INNER
-    real_op = not (np.iscomplexobj(op) and op.imag.any())
-    if real_op and t.dtype.kind == "c" and t.flags.c_contiguous:
-        op, src, right, bound = op.real, t.view(t.real.dtype), 2 * right, _GEMM_INNER_REAL
-    if d * right <= bound:
+    src = t
+    real_view = t.dtype.kind == "c" and t.flags.c_contiguous and _is_real(op)
+    if real_view:
+        op, src, right = op.real, t.view(t.real.dtype), 2 * right
+    if _use_gemm(left, d, right, real_view):
         block = (op.T[:, None, :, None] * np.eye(right)[:, None]).reshape(d * right, -1)
         out = src.reshape(left, d * right) @ block
     else:
@@ -176,3 +178,9 @@ def write_spectrum_csv(path, spec):
         writer.writerow(["frequency_hz", "real", "imaginary"])
         for f, z in zip(spec.frequencies, spec.intensities):
             writer.writerow([f, z.real, z.imag])
+
+
+def indented_json(report):
+    """A JSON report as the pure-Python ``indent=2`` encoder writes it, the
+    bytes that ``cli._emit`` must reproduce."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -85,3 +85,36 @@ def pulse_sequences(draw, min_spins=1, max_spins=6, max_events=8):
     )
     init = "".join(draw(st.lists(st.sampled_from("IXYZ01"), min_size=n, max_size=n)))
     return system, init, draw(st.lists(st.one_of(kinds), max_size=max_events))
+
+
+# Coefficients as a decomposition holds them, with the values whose repr is
+# unusual: signed zero, the float that prints in exponent form first, the
+# smallest subnormal and the neighbours of the report cutoff.
+_COEFFICIENTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1e16, -1e16, 5e-324, 0.25, -0.25, 1e-8, -1e-8,
+     float(np.nextafter(1e-8, 1.0)), float(np.nextafter(1e-8, 0.0))]
+)
+
+
+@st.composite
+def nmr_reports(draw, max_terms=40):
+    """A report shaped as ``timeflow nmr`` writes it: config paths of any
+    text, a decomposition of up to ``max_terms`` terms (possibly none), and
+    the ``fid_file`` and ``spectrum_file`` keys of an acquisition run."""
+    n = draw(st.integers(1, 6))
+    label = st.text("IXYZ", min_size=n, max_size=n)
+    path = st.text(max_size=12)
+    report = {
+        "command": "nmr",
+        "config": {
+            "seed": draw(st.integers(-(2**63), 2**63)),
+            "spin_system": draw(path),
+            "sequence": draw(path),
+            "initial": draw(st.text("IXYZ01", min_size=n, max_size=n)),
+        },
+        "decomposition": draw(st.dictionaries(label, _COEFFICIENTS, max_size=max_terms)),
+    }
+    for key in ("fid_file", "spectrum_file"):
+        if draw(st.booleans()):
+            report[key] = draw(path)
+    return report

@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import timeflow.circuits as circuits
+import timeflow.cli as cli
 import timeflow.properties as properties
-from oracles import write_fid_csv, write_spectrum_csv
+from oracles import indented_json, write_fid_csv, write_spectrum_csv
+from strategies import nmr_reports
+from test_golden import CASES, run_case
 from timeflow.cli import MAX_DIM, MAX_POINTS, main
 from timeflow.formats import MAX_SPINS, load_sequence, load_spin_system, vector_pairs
 from timeflow.linalg import INPUT_TOL, random_unitary
@@ -443,7 +447,7 @@ class TestNmr:
         "seq,message",
         [
             ("rotation 1 y nan\n", "line 1: angle 'nan' is not finite"),
-            ("rotation 2 y pi/2\ndelay inf\n", "line 2: number 'inf' is not finite"),
+            ("rotation 2 y pi/2\ndelay inf\n", "line 2: duration 'inf' is not finite"),
             (
                 "# C9 does not exist\ndelay 0.1\nrotation 1,9 y pi/2\n",
                 "line 3: spin 9 out of range: spins are 1 to 4",
@@ -474,7 +478,7 @@ class TestNmr:
     def test_oversized_spin_count_is_input_error(self, capsys, tmp_path, monkeypatch):
         # the file claims only the count, and the engine must not be reached
         monkeypatch.setattr(
-            "timeflow.cli.run_sequence", lambda *a, **k: pytest.fail("sequence ran")
+            "timeflow.cli._run_reduced", lambda *a, **k: pytest.fail("sequence ran")
         )
         path = tmp_path / "big.spinsys"
         path.write_text(f"spins 40\nlarmor {' '.join(['0'] * 40)}\n")
@@ -680,3 +684,31 @@ class TestCsvFormat:
         else:
             lines = [l for l in out.splitlines() if not l.startswith("#")]
             assert lines == ["term,coefficient"] + [f"{t},{c!r}" for t, c in terms]
+
+
+class TestReportBytes:
+    """The JSON writer against ``json.dumps(report, indent=2, sort_keys=True)``."""
+
+    @pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("nmr-")))
+    def test_golden_nmr_reports_match_the_indent_oracle(self, tmp_path, monkeypatch, case):
+        written = []
+
+        def spy(report, rows, args):
+            written.append(report)
+            emit(report, rows, args)
+
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", spy)
+        code, _ = run_case(CASES[case], tmp_path)
+        assert code == 0 and len(written) == 1 and written[0]["decomposition"]
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert text == indented_json(written[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(report=nmr_reports())
+    def test_report_text_matches_the_indent_oracle(self, report):
+        assert cli._json_text(report) == indented_json(report)
+
+    def test_empty_decomposition_keeps_the_indent_layout(self):
+        report = {"command": "nmr", "config": {"seed": 1}, "decomposition": {}}
+        assert cli._json_text(report) == indented_json(report)

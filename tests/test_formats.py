@@ -135,6 +135,17 @@ class TestSpinSystemFile:
         with pytest.raises(ValueError, match=re.escape(f"spin-system file line 3: {message}")):
             parse_spin_system(f"spins 2\nlarmor 0.0 1.0\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("larmor 0 inf", "larmor value 'inf' is not finite"),
+            ("j 1 2 -inf", "coupling '-inf' is not finite"),
+        ],
+    )
+    def test_non_finite_number_names_its_field(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(f"spin-system file line 3: {message}")):
+            parse_spin_system(f"spins 2\nlarmor 0.0 1.0\n{line}\n")
+
     @pytest.mark.parametrize("value", [0.0, 5.0])
     def test_self_coupling_rule_is_the_same_at_every_entry_point(self, value):
         # SpinSystem owns the rule; the file adds its line and its numbering.
@@ -270,6 +281,12 @@ class TestSequenceFile:
     def test_unparsed_number_names_its_field(self, line, message):
         with pytest.raises(ValueError, match=re.escape(f"sequence file line 2: {message}")):
             parse_sequence(f"delay 0.1\n{line}\n", SYSTEM)
+
+    def test_non_finite_number_names_its_field(self):
+        with pytest.raises(
+            ValueError, match=re.escape("sequence file line 2: duration 'inf' is not finite")
+        ):
+            parse_sequence("delay 0.1\ndelay inf\n", SYSTEM)
 
     def test_self_coupling_reports_line(self):
         with pytest.raises(ValueError, match="line 1: coupling needs two distinct spins"):

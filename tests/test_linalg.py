@@ -9,6 +9,7 @@ from timeflow.linalg import (
     SY,
     SZ,
     _apply_local_into,
+    _use_gemm,
     apply_local,
     bell_state,
     conjugate,
@@ -254,16 +255,18 @@ def _apply_local_oracle(t, axis, op):
     kind=st.sampled_from(OP_KINDS),
 )
 @example(d=2, carriers=8, axis=0, batch=2, seed=0, kind="complex")  # d * right = 256: stacked
-@example(d=2, carriers=8, axis=7, batch=2, seed=1, kind="complex")  # d * right = 2: one gemm
+@example(d=2, carriers=8, axis=7, batch=2, seed=1, kind="complex")  # 2, 256 rows: one gemm
 @example(d=3, carriers=5, axis=1, batch=1, seed=2, kind="complex")  # 81: stacked
-@example(d=4, carriers=4, axis=2, batch=3, seed=3, kind="complex")  # 16: one gemm
+@example(d=4, carriers=4, axis=2, batch=3, seed=3, kind="complex")  # 16, 48 rows: stacked
 @example(d=4, carriers=4, axis=1, batch=2, seed=4, kind="complex")  # 64: stacked
-@example(d=2, carriers=8, axis=5, batch=2, seed=5, kind="real")  # real 2 d right = 16: one gemm
+@example(d=2, carriers=8, axis=5, batch=2, seed=5, kind="real")  # real 16, 64 rows: stacked
 @example(d=2, carriers=8, axis=4, batch=1, seed=6, kind="real as complex")  # real 32: stacked
-@example(d=4, carriers=4, axis=3, batch=2, seed=7, kind="real as complex")  # real 8: one gemm
+@example(d=4, carriers=4, axis=3, batch=2, seed=7, kind="real as complex")  # real 8, 128 rows: one gemm
 @example(d=4, carriers=4, axis=2, batch=3, seed=8, kind="real")  # real 32: stacked
-@example(d=3, carriers=5, axis=4, batch=1, seed=9, kind="real")  # real 6: one gemm
+@example(d=3, carriers=5, axis=4, batch=1, seed=9, kind="real")  # real 6, 81 rows: stacked
 @example(d=3, carriers=5, axis=3, batch=2, seed=10, kind="real as complex")  # real 18: stacked
+@example(d=2, carriers=8, axis=6, batch=2, seed=11, kind="real")  # real 8, 128 rows: one gemm
+@example(d=3, carriers=5, axis=4, batch=2, seed=12, kind="complex")  # 3, 162 rows: one gemm
 def test_apply_local_matches_dense_oracle(d, carriers, axis, batch, seed, kind):
     carriers = min(carriers, CARRIERS[d])
     axis %= carriers
@@ -294,19 +297,36 @@ def test_apply_local_on_a_transposed_view(kind, axis):
 
 
 # (d, carriers, axis, kind) on both sides of each gemm bound: complex inner
-# size d * right up to 32, real-view inner size 2 * d * right up to 16.
+# size d * right up to 32, real-view inner size 2 * d * right up to 16, and
+# at least 128 gemm rows, left = d**axis.
 INTO_CASES = [
-    (2, 8, 3, "complex"),  # 32: one gemm
+    (2, 8, 3, "complex"),  # 32, 8 rows: stacked
     (2, 8, 2, "complex"),  # 64: stacked
-    (2, 8, 5, "real"),  # real 16: one gemm
+    (2, 8, 5, "real"),  # real 16, 32 rows: stacked
     (2, 8, 4, "real"),  # real 32: stacked
-    (2, 8, 5, "real as complex"),  # real 16: one gemm
+    (2, 8, 5, "real as complex"),  # real 16, 32 rows: stacked
     (2, 8, 4, "real as complex"),  # real 32: stacked
-    (3, 4, 1, "complex"),  # 27: one gemm
+    (3, 4, 1, "complex"),  # 27, 3 rows: stacked
     (3, 4, 0, "complex"),  # 81: stacked
-    (4, 4, 3, "real"),  # real 8: one gemm
+    (4, 4, 3, "real"),  # real 8, 64 rows: stacked
     (4, 4, 2, "real"),  # real 32: stacked
+    (2, 12, 7, "complex"),  # 32, 128 rows: one gemm
+    (2, 13, 7, "complex"),  # 64, 128 rows: stacked
+    (2, 12, 9, "real"),  # real 16, 512 rows: one gemm
+    (2, 12, 8, "real"),  # real 32, 256 rows: stacked
+    (2, 12, 9, "real as complex"),  # real 16, 512 rows: one gemm
+    (3, 8, 5, "complex"),  # 27, 243 rows: one gemm
+    (4, 6, 5, "real"),  # real 8, 1024 rows: one gemm
 ]
+
+
+def test_into_cases_take_the_path_their_comments_name():
+    def gemm(d, carriers, axis, kind):
+        real_view = kind != "complex"
+        return _use_gemm(d**axis, d, d ** (carriers - 1 - axis) * (1 + real_view), real_view)
+
+    paths = [gemm(*case) for case in INTO_CASES]
+    assert paths == [False] * 10 + [True, False, True, False, True, True, True]
 
 
 @pytest.mark.parametrize("transposed", [False, True])

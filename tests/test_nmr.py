@@ -11,14 +11,18 @@ from oracles import allocating_fold, event_by_event
 from strategies import SIGNED_AXES, pulse_sequences
 
 from timeflow.circuits import Gate1, GateCircuit, run_gate_circuit
-from timeflow.linalg import PAULI, apply_local, kron, random_state, random_unitary, ry
+from timeflow.cli import main
+from timeflow.linalg import INPUT_TOL, PAULI, apply_local, kron, random_state, random_unitary, ry
 from timeflow.nmr import (
     Delay,
     Gradient,
     JCoupling,
     Rotation,
     SpinSystem,
+    _decompose,
+    _fid,
     _line_frequencies,
+    _run_reduced,
     acausality_sequence,
     apply_jcoupling,
     apply_rotation,
@@ -1151,3 +1155,109 @@ def test_public_kernels_read_a_fortran_ordered_state(kernel):
     energies = build_hamiltonian(FOUR_SPINS)
     out = KERNELS[kernel](np.asfortranarray(rho), energies)
     assert np.array_equal(out, KERNELS[kernel](rho, energies))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=pulse_sequences(min_spins=1, max_spins=8),
+    tol=st.sampled_from([INPUT_TOL, 0.0]),
+    detect=st.integers(0, 7),
+)
+def test_reduced_readout_bitwise_equal_to_the_dense_one(case, tol, detect):
+    s, init, seq = case
+    state = _run_reduced(s, init, seq)
+    rho = run_sequence(s, init, seq)
+    labels, coeffs = _decompose(state, tol)
+    dense = pauli_decompose(rho, tol)
+    assert labels == [label for label, _ in dense]
+    assert np.array_equal(_bits(coeffs), _bits([c for _, c in dense]))
+    detect %= s.n
+    assert np.array_equal(_fid(s, state, detect, 0.05, 16), fid(s, rho, detect, 0.05, 16))
+
+
+def test_reduced_readout_at_twelve_spins_stays_small():
+    # fully coupled, three pulsed spins: the state is 2**15 elements, where
+    # the dense result alone would be 4**12 complex numbers, 256 MiB
+    n = 12
+    rng = np.random.default_rng(27)
+    s = SpinSystem.from_couplings(
+        list(rng.uniform(-3000.0, 3000.0, n)),
+        {(a, b): rng.uniform(2.0, 80.0) for a in range(n) for b in range(a)},
+    )
+    seq = [Rotation((0,), "y", np.pi / 2), Rotation((1, 2), "x", np.pi / 3),
+           JCoupling((0, 1), np.pi / 2), Delay(0.001), Rotation((0, 2), "-y", np.pi / 4),
+           JCoupling((1, 3), np.pi / 2), Rotation((1,), "x", 0.7), Gradient((3,))]
+    init = "X" + "0" * (n - 2) + "X"
+    tracemalloc.start()
+    try:
+        labels, coeffs = _decompose(_run_reduced(s, init, seq), INPUT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert len(labels) == len(set(labels)) > 0 and labels == sorted(labels)
+    # the unpulsed spins 4 to 11 keep the label's diagonal 0s, I or Z each
+    assert all(set(label[4:-1]) <= {"I", "Z"} and label[-1] in "XY" for label in labels)
+    # Parseval: the fold and a crusher cannot raise tr(rho**2) = 2**n sum c**2,
+    # and every event keeps the trace, which X0...0X has none of
+    purity = 2**n * float(np.sum(np.square(coeffs)))
+    assert 0 < purity <= 2**n * 2 ** -(n - 2) * (1 + 1e-12)
+    assert "I" * n not in labels
+
+
+def _closed_form_fid(s, label, detect, duration, points):
+    """tr(rho(t) (X_d + i Y_d)) of a product label with X or Y on spin d and
+    I or Z elsewhere: 2**n exp(i 2 pi nu_d t) (1 or i) times cos(pi J_dk t)
+    for each I and i sin(pi J_dk t) for each Z, at 120 bits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(120):
+        nu = mpmath.mpf(s.larmor[detect])
+        out = []
+        for k in range(points):
+            t = mpmath.mpf(duration) * k / points
+            value = 2 ** len(label) * mpmath.expj(2 * mpmath.pi * nu * t)
+            value *= 1 if label[detect] == "X" else 1j
+            for spin, ch in enumerate(label):
+                if spin != detect:
+                    angle = mpmath.pi * mpmath.mpf(float(s.j[detect, spin])) * t
+                    value *= mpmath.cos(angle) if ch == "I" else 1j * mpmath.sin(angle)
+            out.append(complex(value))
+    return np.array(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=SEEDS, data=st.data())
+def test_fid_of_a_product_label_against_its_closed_form(tmp_path_factory, n, seed, data):
+    rng = np.random.default_rng(seed)
+    s = _random_system(n, rng)
+    detect = data.draw(st.integers(0, n - 1))
+    letters = [data.draw(st.sampled_from("IZ")) for _ in range(n)]
+    letters[detect] = data.draw(st.sampled_from("XY"))
+    label = "".join(letters)
+    duration = data.draw(st.floats(0.01, 1.0))
+    points = data.draw(st.integers(2, 40))
+    expected = _closed_form_fid(s, label, detect, duration, points)
+    # every phase is good to a few ulps of the largest argument |w t|, on
+    # 2**(n-1) lines of weight 2 each
+    omega = 2 * np.pi * abs(s.larmor[detect]) + np.pi * np.sum(np.abs(s.j[detect]))
+    bound = 8 * np.finfo(float).eps * max(1.0, omega * duration) * 2**n
+    dense = fid(s, pseudopure_init(label), detect, duration, points)
+    assert np.max(np.abs(dense - expected)) <= bound
+
+    # the CLI's reduced state, with no event pulsing any spin, read from --fid-out
+    tmp = tmp_path_factory.mktemp("fid")
+    larmor = " ".join(repr(v) for v in s.larmor)
+    couplings = [f"j {a + 1} {b + 1} {float(s.j[a, b])!r}" for a in range(n) for b in range(a)]
+    (tmp / "sys").write_text("\n".join([f"spins {n}", f"larmor {larmor}", *couplings]) + "\n")
+    (tmp / "seq").write_text("# free evolution only\n")
+    code = main(["nmr", "--spin-system", str(tmp / "sys"), "--sequence", str(tmp / "seq"),
+                 "--initial", label, "--detect", str(detect + 1), "--duration", repr(duration),
+                 "--points", str(points), "--fid-out", str(tmp / "fid.csv"),
+                 "--out", str(tmp / "report.json")])
+    assert code == 0
+    rows = np.loadtxt(tmp / "fid.csv", delimiter=",", skiprows=1)
+    assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - expected)) <= bound
