@@ -6,8 +6,10 @@ semantics, ``acausal`` runs the four-carrier acausality circuit, and ``nmr``
 folds a pulse-sequence file over a spin system and reports the final
 deviation state (plus spectra when acquisition options are given).
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Reports embed
-their config; identical config and seed give identical payloads.
+Each subcommand returns its report, the report's CSV rows and its exit code,
+and :func:`main` writes the report.  Exit codes: 0 success, 1 verification
+failure, 2 input error.  Reports embed their config; identical config and
+seed give identical payloads.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .circuits import (
     timeflow_trace,
 )
 from .formats import (
-    finite_float, load_circuit, load_sequence, load_spin_system, parse_angle, vector_pairs
+    _integers, finite_float, load_circuit, load_sequence, load_spin_system, parse_angle,
+    vector_pairs,
 )
 from .linalg import DEFAULT_TOL, INPUT_TOL, equal_up_to_global_phase
 from .nmr import _decompose, _fid, _run_reduced, spectrum, validate_label
@@ -43,6 +46,7 @@ DEFAULT_SEED = 1234
 # 10-spin state's 512 lines peak near 6 MiB.
 MAX_POINTS = 2**16
 MAX_DIM = properties.MAX_DIM  # largest --dims entry
+_SCALARS = (str, int, float, type(None))  # the JSON scalars; bool is an int
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -104,24 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json_text(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    A nonempty ``decomposition`` dict, which can hold thousands of terms, is
-    written by the C encoder: its item separator starts each term on a line
-    of its own at the depth where ``indent=2`` puts it.  Every other value
-    is written with ``indent=2`` and its lines indented one level deeper.
-    """
-    terms = report.get("decomposition")
-    if not (isinstance(terms, dict) and terms):
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    one top-level value at a time: a nonempty dict of scalars (a config, or a
+    decomposition of up to 4**n terms) by the C encoder, whose item separator
+    puts each item on its own line at the depth ``indent=2`` gives it, and any
+    other value by ``indent=2``, its lines indented one level deeper."""
     parts = []
     for key in sorted(report):
-        if key == "decomposition":
-            flat = json.dumps(terms, sort_keys=True, separators=(",\n    ", ": "))
-            value = "{\n    " + flat[1:-1] + "\n  }"
+        value = report[key]
+        scalars = isinstance(value, dict) and all(isinstance(v, _SCALARS) for v in value.values())
+        if value and scalars:
+            flat = json.dumps(value, sort_keys=True, separators=(",\n    ", ": "))
+            text = "{\n    " + flat[1:-1] + "\n  }"
         else:  # the encoder escapes every newline inside a string
-            value = json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  ")
-        parts.append(f"  {json.dumps(key)}: {value}")
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        parts.append(f"  {json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
@@ -144,16 +145,10 @@ def _emit(report: dict, rows: list[dict], args) -> None:
         sys.stdout.write(text)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, list[dict], int]:
     if args.trials <= 0:
         raise ValueError("--trials must be positive")
-    dims = []
-    for entry in args.dims.split(","):
-        try:
-            dims.append(int(entry))
-        except ValueError:
-            raise ValueError(f"--dims entry {entry!r} is not an integer") from None
-    dims = tuple(dims)
+    dims = _integers(args.dims, "--dims")
     if any(d < 2 for d in dims):
         raise ValueError("--dims entries must be at least 2")
     if max(dims) > MAX_DIM:
@@ -192,14 +187,14 @@ def cmd_verify(args) -> int:
         "all_pass": all_pass,
         "failing": [r.name for r in results if not r.passed],
     }
-    _emit(report, rows, args)
-    return 0 if all_pass else 1
+    return report, rows, 0 if all_pass else 1
 
 
-def cmd_teleport(args) -> int:
+def cmd_teleport(args) -> tuple[dict, list[dict], int]:
     spec = load_circuit(args.circuit)
+    alpha = parse_angle(args.alpha_phase)  # checked even where the encoding ignores it
     if args.encoding == "spin":
-        enc = spin_half(np.exp(1j * parse_angle(args.alpha_phase)))
+        enc = spin_half(np.exp(1j * alpha))
     else:
         enc = photon_number(spec["d"])
     config = {
@@ -224,8 +219,7 @@ def cmd_teleport(args) -> int:
             {"singular_value": float(s), "transmitted": loss.transmitted}
             for s in loss.singular_values
         ]
-        _emit(report, rows, args)
-        return 0
+        return report, rows, 0
 
     circuit = TeleportCircuit(
         d=spec["d"],
@@ -266,11 +260,10 @@ def cmd_teleport(args) -> int:
         {"outcome": k, "probability": rep.probability}
         for k, rep in sorted(oracle.items())
     ]
-    _emit(report, rows, args)
-    return 0 if agreement else 1
+    return report, rows, 0 if agreement else 1
 
 
-def cmd_acausal(args) -> int:
+def cmd_acausal(args) -> tuple[dict, list[dict], int]:
     branches = {}
     rows = []
     for a in (0, 1):
@@ -286,8 +279,7 @@ def cmd_acausal(args) -> int:
         "config": {"seed": args.seed, "bell": args.bell},
         "branches": branches,
     }
-    _emit(report, rows, args)
-    return 0
+    return report, rows, 0
 
 
 def _write_columns(path, axis_name: str, grid: np.ndarray, values: np.ndarray) -> None:
@@ -302,7 +294,7 @@ def _write_columns(path, axis_name: str, grid: np.ndarray, values: np.ndarray) -
         fh.write(text)
 
 
-def cmd_nmr(args) -> int:
+def cmd_nmr(args) -> tuple[dict, list[dict], int]:
     if args.detect is None:
         for flag in ("--fid-out", "--spectrum-out", "--duration", "--points"):
             if getattr(args, flag[2:].replace("-", "_")) is not None:
@@ -348,8 +340,7 @@ def cmd_nmr(args) -> int:
         if args.spectrum_out:
             _write_columns(args.spectrum_out, "frequency_hz", spec.frequencies, spec.intensities)
             report["spectrum_file"] = args.spectrum_out
-    _emit(report, rows, args)
-    return 0
+    return report, rows, 0
 
 
 _COMMANDS = {
@@ -369,7 +360,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "tol", 0.0) < 0:
             raise ValueError(f"--tol must be non-negative, got {args.tol}")
-        return _COMMANDS[args.command](args)
+        report, rows, code = _COMMANDS[args.command](args)
+        _emit(report, rows, args)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

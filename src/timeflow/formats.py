@@ -1,18 +1,14 @@
-"""Parsers and serializers for the interchange files.
+"""Parsers and serializers for the interchange files, whose grammar is in
+``docs/file-formats.md``.
 
-Three formats live here, all documented with a grammar in
-``docs/file-formats.md``:
-
-* spin-system files: ``spins``, ``larmor`` and ``j`` key-value lines, with
-  1-based spin numbers as used in carrier names like C1;
-* pulse-sequence files: one ``rotation`` / ``jcoupling`` / ``delay`` /
-  ``gradient`` event per line, 1-based spins, angles as floats or fractions
-  of pi;
-* circuit files: JSON with fields ``d``, ``u``, ``v``, ``w``, ``phi``,
-  ``omega``, ``psi``; gates either named (I, X, Y, Z, H, S, RX(t), RY(t),
-  RZ(t)) or row-major flat lists of ``[re, im]`` pairs, entangled states
-  either Bell names (PHI+, PHI-, PSI+, PSI-), the name MAX for the uniform
-  pair, or amplitude lists.
+Spin-system files (``spins``, ``larmor`` and ``j`` lines) and pulse-sequence
+files (one ``rotation``, ``jcoupling``, ``delay`` or ``gradient`` event per
+line) are read through one table, :data:`_FIELDS`, of each keyword's fields
+as (name, reader) pairs: one function checks a line's field count against it
+and reads the tokens.  Spin numbers in files are 1-based, as in carrier names
+like C1; angles are floats or fractions of pi.  ``timeflow verify`` reads
+``--dims`` with the same integer reader.  Circuit files are JSON objects with
+fields ``d``, ``u``, ``v``, ``w``, ``phi``, ``omega`` and ``psi``.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import json
 import math
 import numbers
 import re
-from itertools import repeat
 
 import numpy as np
 
@@ -62,19 +57,13 @@ def parse_angle(token: str) -> float:
 
 def finite_float(token: str, name: str = "value") -> float:
     """A float literal that must be finite, read as the field ``name``."""
-    value = _read(float, name, token)
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"{name} {token!r} is not a number") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} {token!r} is not finite")
     return value
-
-
-def _read(kind, name: str, token: str):
-    """``token`` read by ``kind``, int or float; an error names the field."""
-    try:
-        return kind(token)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} {token!r} is not {what}") from None
 
 
 def _content_lines(text: str):
@@ -85,26 +74,62 @@ def _content_lines(text: str):
             yield lineno, fields[0].lower(), fields[1:]
 
 
-# The fields a line holds after its keyword (``larmor`` holds one per spin).
+def _integer(token: str, name: str, n=None) -> int:
+    """An integer field; given a spin count ``n``, a spin number from 1 to
+    ``n``, returned 0-based."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise ValueError(f"{name} {token!r} is not an integer") from None
+    return _in_range((value,), n)[0]
+
+
+def _integers(token: str, name: str, n=None) -> tuple[int, ...]:
+    """Comma-separated integers, each a ``{name} entry``, read as :func:`_integer` reads one."""
+    return _in_range(tuple(_integer(v, f"{name} entry") for v in token.split(",")), n)
+
+
+def _in_range(spins, n) -> tuple[int, ...]:
+    """``spins`` as they are, or, given a count ``n``, each from 1 to ``n`` and made 0-based."""
+    if n is None:
+        return spins
+    for spin in spins:
+        if not 1 <= spin <= n:
+            raise ValueError(f"spin {spin} out of range: spins are 1 to {n}")
+    return tuple(spin - 1 for spin in spins)
+
+
+def _number(token: str, name: str, n=None) -> float:
+    return finite_float(token, name)
+
+
+def _angle(token: str, name: str, n=None) -> float:
+    return parse_angle(token)
+
+
+# Each keyword's fields after it, as (name, reader) pairs; ``larmor`` holds
+# one value per spin.  A reader takes the token, the field's name and the spin
+# count of a sequence file, or None in a spin-system file, whose j lines are
+# range-checked once the whole file is read.
 _FIELDS = {
-    "spins": ("count",),
-    "j": ("first spin", "second spin", "coupling"),
-    "rotation": ("spins", "axis", "angle"),
-    "jcoupling": ("first spin", "second spin", "angle"),
-    "delay": ("duration",),
-    "gradient": ("spins",),
+    "spins": (("count", _integer),),
+    "j": (("first spin", _integer), ("second spin", _integer), ("coupling", _number)),
+    "rotation": (("spins", _integers), ("axis", lambda t, *_: t.lower()), ("angle", _angle)),
+    "jcoupling": (("first spin", _integer), ("second spin", _integer), ("angle", _angle)),
+    "delay": (("duration", _number),),
+    "gradient": (("spins", _integers),),
 }
 
 
-def _exact(key: str, fields: list) -> list:
-    """A ``key`` line's fields, checked against :data:`_FIELDS`: a short line
-    names the first missing field, a long one the first extra."""
-    names = _FIELDS[key]
-    if len(fields) < len(names):
-        raise ValueError(f"missing field '{names[len(fields)]}'")
-    if len(fields) > len(names):
-        raise ValueError(f"unexpected field {fields[len(names)]!r}")
-    return fields
+def _fields(key: str, tokens: list, n=None) -> list:
+    """A ``key`` line's tokens read by :data:`_FIELDS`, in order: a short
+    line names the first missing field, a long one the first extra."""
+    fields = _FIELDS[key]
+    if len(tokens) < len(fields):
+        raise ValueError(f"missing field '{fields[len(tokens)][0]}'")
+    if len(tokens) > len(fields):
+        raise ValueError(f"unexpected field {tokens[len(fields)]!r}")
+    return [read(token, name, n) for (name, read), token in zip(fields, tokens)]
 
 
 def parse_spin_system(text: str) -> SpinSystem:
@@ -113,21 +138,18 @@ def parse_spin_system(text: str) -> SpinSystem:
     larmor = None
     couplings: dict[tuple[int, int], tuple] = {}  # (J, line) by 1-based pair, lower first
     seen: dict[str, int] = {}  # the line of the spins and larmor keys
-    for lineno, key, fields in _content_lines(text):
+    for lineno, key, tokens in _content_lines(text):
         try:
             if key == "spins":
-                (count,) = _exact(key, fields)
-                spins = _read(int, "count", count)
+                (spins,) = _fields(key, tokens)
                 if spins < 1:
                     raise ValueError(f"need at least 1 spin, got {spins}")
                 if spins > MAX_SPINS:
                     raise ValueError(f"spin count {spins} exceeds the limit of {MAX_SPINS}")
             elif key == "larmor":
-                larmor = [finite_float(v, "larmor value") for v in fields]
+                larmor = [finite_float(v, "larmor value") for v in tokens]
             elif key == "j":
-                a, b, val = _exact(key, fields)
-                a, b = _read(int, "first spin", a), _read(int, "second spin", b)
-                val = finite_float(val, "coupling")
+                a, b, val = _fields(key, tokens)
                 if a == b:
                     _check_self_coupling(a, val)
                 pair = (min(a, b), max(a, b))
@@ -150,7 +172,7 @@ def parse_spin_system(text: str) -> SpinSystem:
     by_index = {}  # the couplings by 0-based pair
     for pair, (val, lineno) in couplings.items():
         try:
-            by_index[_parse_spins(pair, spins)] = val
+            by_index[_in_range(pair, spins)] = val
         except ValueError as exc:
             raise ValueError(f"spin-system file line {lineno}: coupling {exc}") from None
     return SpinSystem.from_couplings(larmor, by_index)
@@ -161,40 +183,24 @@ def load_spin_system(path) -> SpinSystem:
         return parse_spin_system(fh.read())
 
 
-def _parse_spins(tokens, n: int, names=None) -> tuple[int, ...]:
-    """0-based indices of 1-based spin numbers, each between 1 and ``n``;
-    ``names`` are the tokens' fields, by default each a ``spins entry``."""
-    spins = tuple(_read(int, name, v) for name, v in zip(names or repeat("spins entry"), tokens))
-    for spin in spins:
-        if not 1 <= spin <= n:
-            raise ValueError(f"spin {spin} out of range: spins are 1 to {n}")
-    return tuple(spin - 1 for spin in spins)
+# The event that each sequence keyword builds from its fields.
+_EVENTS = {"rotation": Rotation, "delay": Delay, "gradient": Gradient,
+           "jcoupling": lambda a, b, angle: JCoupling((a, b), angle)}
 
 
 def parse_sequence(text: str, system: SpinSystem) -> list:
     """Parse the line-based pulse-sequence format into event objects whose
     spins exist in ``system`` and whose coupled pairs have a nonzero J."""
     events = []
-    for lineno, kind, fields in _content_lines(text):
+    for lineno, kind, tokens in _content_lines(text):
         try:
-            if kind == "rotation":
-                spins, axis, angle = _exact(kind, fields)
-                spins = _parse_spins(spins.split(","), system.n)
-                events.append(Rotation(spins, axis.lower(), parse_angle(angle)))
-            elif kind == "jcoupling":
-                a, b, angle = _exact(kind, fields)
-                pair = _parse_spins((a, b), system.n, _FIELDS[kind])
-                events.append(JCoupling(pair, parse_angle(angle)))
-                if system.j[pair] == 0.0:
-                    raise ValueError(f"spins {pair[0] + 1} and {pair[1] + 1} have no J coupling")
-            elif kind == "delay":
-                (duration,) = _exact(kind, fields)
-                events.append(Delay(finite_float(duration, "duration")))
-            elif kind == "gradient":
-                (spins,) = _exact(kind, fields)
-                events.append(Gradient(_parse_spins(spins.split(","), system.n)))
-            else:
+            if kind not in _EVENTS:
                 raise ValueError(f"unknown event kind {kind!r}")
+            event = _EVENTS[kind](*_fields(kind, tokens, system.n))
+            if kind == "jcoupling" and system.j[event.pair] == 0.0:
+                a, b = event.pair
+                raise ValueError(f"spins {a + 1} and {b + 1} have no J coupling")
+            events.append(event)
         except ValueError as exc:
             raise ValueError(f"sequence file line {lineno}: {exc}") from None
     return events

@@ -77,6 +77,7 @@ arguments; :func:`run_sequence` checks the events against the system first.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
@@ -139,6 +140,10 @@ class SpinSystem:
         n = len(larmor)
         j = np.zeros((n, n))
         for (a, b), val in couplings.items():
+            try:
+                _check_spins(n, (a, b))
+            except ValueError as exc:
+                raise ValueError(f"coupling {(a, b)!r}: {exc}") from None
             j[a, b] = j[b, a] = float(val)
         return cls(tuple(larmor), j)
 
@@ -228,7 +233,10 @@ def _z_signs(n: int, idx=None) -> np.ndarray:
 
 
 def _check_spins(n: int, spins) -> None:
+    """Every listed spin is an integer index from 0 to n - 1 (not a bool)."""
     for spin in spins:
+        if not isinstance(spin, numbers.Integral) or isinstance(spin, bool):
+            raise ValueError(f"spin index {spin!r} is not an integer")
         if not 0 <= spin < n:
             raise ValueError(f"spin index {spin} out of range")
 
@@ -422,6 +430,8 @@ def pauli_decompose(rho: np.ndarray, tol: float = ATOL) -> list[tuple[str, float
     (the tensorized Pauli decomposition of Hantzko, Binkowski and Gupta,
     2023), so the cost is O(n 4**n) rather than a matrix product per label.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     rho = np.asarray(rho)
     return list(zip(*_decompose(_dense(rho, _spin_count(rho)), tol)))
 
@@ -620,6 +630,8 @@ def coherence_amplitude(rho: np.ndarray, spin: int, tol: float = 1e-12) -> float
     part of the state that suitable readout rotations can turn into signal
     on that spin.
     """
+    rho = np.asarray(rho)
+    _spin_count(rho, (spin,))
     total = 0.0
     for label, c in pauli_decompose(rho, tol=tol):
         if label[spin] in ("X", "Y"):

@@ -20,6 +20,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from timeflow.linalg import _is_real, _use_gemm, ry
 from timeflow.nmr import (
@@ -178,6 +179,26 @@ def write_spectrum_csv(path, spec):
         writer.writerow(["frequency_hz", "real", "imaginary"])
         for f, z in zip(spec.frequencies, spec.intensities):
             writer.writerow([f, z.real, z.imag])
+
+
+def closed_form_fid(s, label, detect, duration, points):
+    """tr(rho(t) (X_d + i Y_d)) of a product label with X or Y on spin d and
+    I or Z elsewhere: 2**n exp(i 2 pi nu_d t) (1 or i) times cos(pi J_dk t)
+    for each I and i sin(pi J_dk t) for each Z, at 120 bits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(120):
+        nu = mpmath.mpf(s.larmor[detect])
+        out = []
+        for k in range(points):
+            t = mpmath.mpf(duration) * k / points
+            value = 2 ** len(label) * mpmath.expj(2 * mpmath.pi * nu * t)
+            value *= 1 if label[detect] == "X" else 1j
+            for spin, ch in enumerate(label):
+                if spin != detect:
+                    angle = mpmath.pi * mpmath.mpf(float(s.j[detect, spin])) * t
+                    value *= mpmath.cos(angle) if ch == "I" else 1j * mpmath.sin(angle)
+            out.append(complex(value))
+    return np.array(out)
 
 
 def indented_json(report):

@@ -118,3 +118,22 @@ def nmr_reports(draw, max_terms=40):
         if draw(st.booleans()):
             report[key] = draw(path)
     return report
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**63), 2**63) | _COEFFICIENTS | st.text(max_size=8)
+)
+
+
+def json_reports(max_leaves=30):
+    """A report of any shape the subcommands write: a dict of scalars, lists
+    and dicts of any depth, with dicts of scalars (a config, a
+    decomposition) and nested objects (teleport outcomes, verify rows)."""
+    keys = st.text(max_size=6)
+    values = st.recursive(
+        _SCALARS,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=4),
+        max_leaves=max_leaves,
+    )
+    scalar_dicts = st.dictionaries(keys, _SCALARS, max_size=6)
+    return st.dictionaries(st.text(max_size=8), values | scalar_dicts, min_size=1, max_size=6)

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import closed_form_fid
 
 from timeflow.circuits import (
     TeleportCircuit,
@@ -281,6 +282,38 @@ def test_criterion_9_ideal_overlap_and_double_coherence():
         ok_overlap and ok_support,
         f"overlap {overlap:.12f}, support {sorted(support)}",
     )
+
+
+def test_criterion_9b_branch_signals_in_closed_form():
+    """After criterion 9's readout, Ry(-pi/2) on C2, the no-flip branch is
+    the single term XZIZ and the flip branch YIZI, each at 1/4, and each
+    branch's C1 signal is a quarter of the closed-form FID of its term:
+    antiphase in J12 and J14 without the flip, antiphase in J13 and 90
+    degrees out of phase with it.  On 50 random four-spin systems, offsets
+    within 3 kHz and every J from 2 to 80 Hz."""
+    rng = np.random.default_rng(2005)
+    duration, points = 0.5, 64
+    worst, ok = 0.0, True
+    for _ in range(50):
+        system = SpinSystem.from_couplings(
+            list(rng.uniform(-3000.0, 3000.0, 4)),
+            {(a, b): rng.uniform(2.0, 80.0) for a in range(4) for b in range(a)},
+        )
+        # the bound of the closed-form FID test, for one spin's largest frequency
+        omega = 2 * np.pi * abs(system.larmor[0]) + np.pi * np.sum(np.abs(system.j[0]))
+        bound = 8 * np.finfo(float).eps * max(1.0, omega * duration) * 2**4
+        for flip, label in ((False, "XZIZ"), (True, "YIZI")):
+            rho = run_sequence(system, "X00X", acausality_sequence(flip))
+            observable = apply_rotation(rho, (1,), "y", -np.pi / 2)
+            terms = pauli_decompose(observable, tol=1e-12)
+            ok &= [t for t, _ in terms] == [label] and abs(terms[0][1] - 0.25) <= 1e-12
+            signal = fid(system, observable, detect=0, duration=duration, points=points)
+            expected = closed_form_fid(system, label, 0, duration, points) / 4
+            deviation = float(np.max(np.abs(signal - expected)))
+            ok &= deviation <= bound
+            worst = max(worst, deviation)
+    _report("criterion 9b: each branch's C1 signal in closed form (50 systems)", ok,
+            f"worst deviation {worst:.1e}")
 
 
 def test_criterion_10_nonmaximal_entanglement():

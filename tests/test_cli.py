@@ -12,7 +12,7 @@ import timeflow.circuits as circuits
 import timeflow.cli as cli
 import timeflow.properties as properties
 from oracles import indented_json, write_fid_csv, write_spectrum_csv
-from strategies import nmr_reports
+from strategies import json_reports, nmr_reports
 from test_golden import CASES, run_case
 from timeflow.cli import MAX_DIM, MAX_POINTS, main
 from timeflow.formats import MAX_SPINS, load_sequence, load_spin_system, vector_pairs
@@ -711,4 +711,17 @@ class TestReportBytes:
 
     def test_empty_decomposition_keeps_the_indent_layout(self):
         report = {"command": "nmr", "config": {"seed": 1}, "decomposition": {}}
+        assert cli._json_text(report) == indented_json(report)
+
+    @pytest.mark.parametrize("case", sorted(c for c in CASES if not c.startswith("nmr-")))
+    def test_other_golden_reports_match_the_indent_oracle(self, tmp_path, case):
+        # verify rows, teleport outcomes and traces, the nonmax and acausal
+        # objects: a parsed report written again by the oracle gives its bytes
+        run_case(CASES[case], tmp_path)
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert text == indented_json(json.loads(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(report=json_reports())
+    def test_any_report_shape_matches_the_indent_oracle(self, report):
         assert cli._json_text(report) == indented_json(report)

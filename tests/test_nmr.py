@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import allocating_fold, event_by_event
+from oracles import allocating_fold, closed_form_fid, event_by_event
 from strategies import SIGNED_AXES, pulse_sequences
 
 from timeflow.circuits import Gate1, GateCircuit, run_gate_circuit
@@ -110,6 +110,25 @@ class TestSpinSystem:
         s = two_spin(j=50.0)
         assert s.j[0, 1] == s.j[1, 0] == 50.0
         assert s.n == 2
+
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            ((0, -1), "coupling (0, -1): spin index -1 out of range"),
+            ((0, 5), "coupling (0, 5): spin index 5 out of range"),
+            ((3, 1), "coupling (3, 1): spin index 3 out of range"),
+            ((0, 1.0), "coupling (0, 1.0): spin index 1.0 is not an integer"),
+            ((True, 2), "coupling (True, 2): spin index True is not an integer"),
+        ],
+    )
+    def test_from_couplings_names_a_pair_outside_the_spins(self, pair, message):
+        # a negative index used to wrap around to the last spin
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpinSystem.from_couplings([0.0, 1.0, 2.0], {pair: 5.0})
+
+    def test_from_couplings_takes_numpy_indices(self):
+        s = SpinSystem.from_couplings([0.0, 1.0, 2.0], {(np.int64(0), np.int64(2)): 5.0})
+        assert s.j[0, 2] == s.j[2, 0] == 5.0
 
 
 class TestHamiltonian:
@@ -298,6 +317,29 @@ def test_events_check_themselves_when_built(make, message):
 def test_public_kernels_check_their_event(kernel, message):
     with pytest.raises(ValueError, match=message):
         kernel(pseudopure_init("XY"))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda rho: pauli_decompose(rho, tol=np.nan), "tol must be finite and non-negative"),
+        (lambda rho: pauli_decompose(rho, tol=np.inf), "tol must be finite and non-negative"),
+        (lambda rho: pauli_decompose(rho, tol=-1e-9), "tol must be finite and non-negative"),
+        (lambda rho: coherence_amplitude(rho, 5), "spin index 5 out of range"),
+        (lambda rho: coherence_amplitude(rho, -1), "spin index -1 out of range"),
+        (lambda rho: apply_rotation(rho, (0.5,), "y", 1.0), "spin index 0.5 is not an integer"),
+        (lambda rho: gradient_crush(rho, (False,)), "spin index False is not an integer"),
+        (
+            lambda rho: run_sequence(two_spin(), "XY", [Rotation((0.5,), "y", 1.0)]),
+            "spin index 0.5 is not an integer",
+        ),
+    ],
+    ids=["tol-nan", "tol-inf", "tol-negative", "spin-5", "spin-negative", "rotation-float",
+         "gradient-bool", "sequence-float"],
+)
+def test_library_inputs_are_rejected_with_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(pseudopure_init("XY"))
 
 
 class TestGradientCrush:
@@ -1209,26 +1251,6 @@ def test_reduced_readout_at_twelve_spins_stays_small():
     assert "I" * n not in labels
 
 
-def _closed_form_fid(s, label, detect, duration, points):
-    """tr(rho(t) (X_d + i Y_d)) of a product label with X or Y on spin d and
-    I or Z elsewhere: 2**n exp(i 2 pi nu_d t) (1 or i) times cos(pi J_dk t)
-    for each I and i sin(pi J_dk t) for each Z, at 120 bits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workprec(120):
-        nu = mpmath.mpf(s.larmor[detect])
-        out = []
-        for k in range(points):
-            t = mpmath.mpf(duration) * k / points
-            value = 2 ** len(label) * mpmath.expj(2 * mpmath.pi * nu * t)
-            value *= 1 if label[detect] == "X" else 1j
-            for spin, ch in enumerate(label):
-                if spin != detect:
-                    angle = mpmath.pi * mpmath.mpf(float(s.j[detect, spin])) * t
-                    value *= mpmath.cos(angle) if ch == "I" else 1j * mpmath.sin(angle)
-            out.append(complex(value))
-    return np.array(out)
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), seed=SEEDS, data=st.data())
 def test_fid_of_a_product_label_against_its_closed_form(tmp_path_factory, n, seed, data):
@@ -1240,7 +1262,7 @@ def test_fid_of_a_product_label_against_its_closed_form(tmp_path_factory, n, see
     label = "".join(letters)
     duration = data.draw(st.floats(0.01, 1.0))
     points = data.draw(st.integers(2, 40))
-    expected = _closed_form_fid(s, label, detect, duration, points)
+    expected = closed_form_fid(s, label, detect, duration, points)
     # every phase is good to a few ulps of the largest argument |w t|, on
     # 2**(n-1) lines of weight 2 each
     omega = 2 * np.pi * abs(s.larmor[detect]) + np.pi * np.sum(np.abs(s.j[detect]))
