@@ -6,18 +6,18 @@ semantics, ``acausal`` runs the four-carrier acausality circuit, and ``nmr``
 folds a pulse-sequence file over a spin system and reports the final
 deviation state (plus spectra when acquisition options are given).
 
-Each subcommand returns its report, the report's CSV rows and its exit code,
-and :func:`main` writes the report.  Exit codes: 0 success, 1 verification
-failure, 2 input error.  Reports embed their config; identical config and
-seed give identical payloads.
+Each subcommand returns its report, the report's CSV rows, its exit code and
+the text of each CSV export by path; it opens no file.  :func:`main` writes
+the exports and the report, and a run that exits 2 leaves no file it wrote.
+Exit codes: 0 success, 1 verification failure, 2 input error.  Reports embed
+their config; identical config and seed give identical payloads.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -33,19 +33,14 @@ from .circuits import (
     timeflow_trace,
 )
 from .formats import (
-    _integers, finite_float, load_circuit, load_sequence, load_spin_system, parse_angle,
-    vector_pairs,
+    MAX_DIM, MAX_POINTS, _dimension, _in_range, _integers, finite_float, load_circuit,
+    load_sequence, load_spin_system, parse_angle, vector_pairs,
 )
 from .linalg import DEFAULT_TOL, INPUT_TOL, equal_up_to_global_phase
 from .nmr import _decompose, _fid, _run_reduced, spectrum, validate_label
 from .reversal import is_maximally_entangled, photon_number, spin_half
 
 DEFAULT_SEED = 1234
-# Largest --points: each CSV file holds one row per point.  fid keeps about
-# 2 sqrt(points) complex exponentials per observed line, so 2**16 points of a
-# 10-spin state's 512 lines peak near 6 MiB.
-MAX_POINTS = 2**16
-MAX_DIM = properties.MAX_DIM  # largest --dims entry
 _SCALARS = (str, int, float, type(None))  # the JSON scalars; bool is an int
 
 
@@ -126,43 +121,50 @@ def _json_text(report: dict) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
-def _emit(report: dict, rows: list[dict], args) -> None:
+def _csv_text(header, rows) -> str:
+    """A header line and one line per row: ``str`` of each value (``repr``
+    for a float) joined by commas, each line ending in ``\\r\\n``, the bytes
+    ``csv.writer`` writes for values that need no quoting."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    return "".join([line % tuple(row) for row in (header, *rows)])
+
+
+def _emit(report: dict, rows: list[dict], exports: dict, args) -> None:
+    """Write each export, then the report to ``--out``, or else to stdout.  If
+    a write fails, the files this call opened are removed before the error
+    goes on, so a run that exits 2 leaves no output file."""
     if args.format == "json":
         text = _json_text(report)
     else:
-        buf = io.StringIO()
-        for key, val in sorted(report.get("config", {}).items()):
-            buf.write(f"# {key}={val}\n")
+        text = "".join(f"# {key}={val}\n" for key, val in sorted(report.get("config", {}).items()))
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-        text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+            text += _csv_text(rows[0], [row.values() for row in rows])
+    files = {**exports, args.out: text} if args.out else exports
+    opened = []
+    try:
+        for path, content in files.items():
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                opened.append(path)
+                fh.write(content)
+    except BaseException:
+        for path in opened:
+            os.remove(path)
+        raise
+    if not args.out:
         sys.stdout.write(text)
 
 
-def cmd_verify(args) -> tuple[dict, list[dict], int]:
-    if args.trials <= 0:
-        raise ValueError("--trials must be positive")
-    dims = _integers(args.dims, "--dims")
-    if any(d < 2 for d in dims):
-        raise ValueError("--dims entries must be at least 2")
-    if max(dims) > MAX_DIM:
-        raise ValueError(f"--dims entry {max(dims)} exceeds the limit of {MAX_DIM}")
+def cmd_verify(args) -> tuple[dict, list[dict], int, dict]:
+    dims = tuple(_dimension(d, "--dims entry") for d in _integers(args.dims, "--dims"))
     for k, d in enumerate(dims):
         if d in dims[:k]:
             raise ValueError(f"--dims entry {d} is repeated")
-    results = properties.run_all(
-        seed=args.seed,
-        trials=args.trials,
-        tol=args.tol,
-        dims=dims,
-        faulty=args.inject_fault,
-    )
+    try:
+        results = properties.run_all(
+            seed=args.seed, trials=args.trials, tol=args.tol, dims=dims, faulty=args.inject_fault
+        )
+    except ValueError as exc:  # run_all's own rules: "trials ..." or "seed ..."
+        raise ValueError(f"--{exc}") from None
     rows = [
         {
             "property": r.name,
@@ -187,10 +189,10 @@ def cmd_verify(args) -> tuple[dict, list[dict], int]:
         "all_pass": all_pass,
         "failing": [r.name for r in results if not r.passed],
     }
-    return report, rows, 0 if all_pass else 1
+    return report, rows, 0 if all_pass else 1, {}
 
 
-def cmd_teleport(args) -> tuple[dict, list[dict], int]:
+def cmd_teleport(args) -> tuple[dict, list[dict], int, dict]:
     spec = load_circuit(args.circuit)
     alpha = parse_angle(args.alpha_phase)  # checked even where the encoding ignores it
     if args.encoding == "spin":
@@ -219,16 +221,9 @@ def cmd_teleport(args) -> tuple[dict, list[dict], int]:
             {"singular_value": float(s), "transmitted": loss.transmitted}
             for s in loss.singular_values
         ]
-        return report, rows, 0
+        return report, rows, 0, {}
 
-    circuit = TeleportCircuit(
-        d=spec["d"],
-        u=spec["u"],
-        v=spec["v"],
-        w=spec["w"],
-        phi=spec["phi"],
-        omega=spec["omega"],
-    )
+    circuit = TeleportCircuit(**{k: v for k, v in spec.items() if k != "psi"})
     oracle = forward_oracle(circuit, spec["psi"])
     trace = timeflow_trace(circuit, spec["psi"], enc)
     flow = OutcomeReport.from_raw(trace[-1][1])
@@ -260,10 +255,10 @@ def cmd_teleport(args) -> tuple[dict, list[dict], int]:
         {"outcome": k, "probability": rep.probability}
         for k, rep in sorted(oracle.items())
     ]
-    return report, rows, 0 if agreement else 1
+    return report, rows, 0 if agreement else 1, {}
 
 
-def cmd_acausal(args) -> tuple[dict, list[dict], int]:
+def cmd_acausal(args) -> tuple[dict, list[dict], int, dict]:
     branches = {}
     rows = []
     for a in (0, 1):
@@ -279,22 +274,18 @@ def cmd_acausal(args) -> tuple[dict, list[dict], int]:
         "config": {"seed": args.seed, "bell": args.bell},
         "branches": branches,
     }
-    return report, rows, 0
+    return report, rows, 0, {}
 
 
-def _write_columns(path, axis_name: str, grid: np.ndarray, values: np.ndarray) -> None:
-    """Write ``axis_name,real,imaginary`` and one row per point, in one write.
-
-    Each number is ``repr`` of a Python float and each line ends in
-    ``\\r\\n``: the bytes ``csv.writer`` wrote for the same floats.
-    """
-    rows = zip(grid.tolist(), values.real.tolist(), values.imag.tolist())
-    text = "".join([f"{axis_name},real,imaginary\r\n"] + ["%r,%r,%r\r\n" % row for row in rows])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _flag(flag: str, read, *args):
+    """``read(*args)``, whose error is named after ``flag``."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
-def cmd_nmr(args) -> tuple[dict, list[dict], int]:
+def cmd_nmr(args) -> tuple[dict, list[dict], int, dict]:
     if args.detect is None:
         for flag in ("--fid-out", "--spectrum-out", "--duration", "--points"):
             if getattr(args, flag[2:].replace("-", "_")) is not None:
@@ -305,12 +296,9 @@ def cmd_nmr(args) -> tuple[dict, list[dict], int]:
         raise ValueError(f"--points {args.points} exceeds the limit of {MAX_POINTS}")
     system = load_spin_system(args.spin_system)
     sequence = load_sequence(args.sequence, system)
-    if args.detect is not None and not 1 <= args.detect <= system.n:
-        raise ValueError(f"--detect {args.detect} is out of range: spins are 1 to {system.n}")
-    try:
-        validate_label(args.initial, system.n)
-    except ValueError as exc:
-        raise ValueError(f"--initial: {exc}") from None
+    if args.detect is not None:
+        (detect,) = _flag("--detect", _in_range, (args.detect,), system.n)
+    _flag("--initial", validate_label, args.initial, system.n)
     # the reduced state is read as it is: never scattered into the dense matrix
     state = _run_reduced(system, args.initial, sequence)
     labels, coeffs = _decompose(state, INPUT_TOL)
@@ -328,19 +316,21 @@ def cmd_nmr(args) -> tuple[dict, list[dict], int]:
     if args.format == "csv":
         rows = [{"term": label, "coefficient": coeff} for label, coeff in zip(labels, coeffs)]
 
+    exports = {}
     if args.detect is not None:
-        detect = args.detect - 1
         signal = _fid(system, state, detect, args.duration, args.points)
         dwell = args.duration / args.points
         spec = spectrum(signal, dwell, args.broadening)
-        if args.fid_out:
-            times = np.arange(args.points) * dwell
-            _write_columns(args.fid_out, "time_s", times, signal)
-            report["fid_file"] = args.fid_out
-        if args.spectrum_out:
-            _write_columns(args.spectrum_out, "frequency_hz", spec.frequencies, spec.intensities)
-            report["spectrum_file"] = args.spectrum_out
-    return report, rows, 0
+        for key, path, axis, grid, values in (
+            ("fid_file", args.fid_out, "time_s", np.arange(args.points) * dwell, signal),
+            ("spectrum_file", args.spectrum_out, "frequency_hz", spec.frequencies,
+             spec.intensities),
+        ):
+            if path:
+                columns = np.column_stack((grid, values.real, values.imag)).tolist()
+                exports[path] = _csv_text((axis, "real", "imaginary"), columns)
+                report[key] = path
+    return report, rows, 0, exports
 
 
 _COMMANDS = {
@@ -360,8 +350,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "tol", 0.0) < 0:
             raise ValueError(f"--tol must be non-negative, got {args.tol}")
-        report, rows, code = _COMMANDS[args.command](args)
-        _emit(report, rows, args)
+        report, rows, code, exports = _COMMANDS[args.command](args)
+        _emit(report, rows, exports, args)
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,8 +7,9 @@ line) are read through one table, :data:`_FIELDS`, of each keyword's fields
 as (name, reader) pairs: one function checks a line's field count against it
 and reads the tokens.  Spin numbers in files are 1-based, as in carrier names
 like C1; angles are floats or fractions of pi.  ``timeflow verify`` reads
-``--dims`` with the same integer reader.  Circuit files are JSON objects with
-fields ``d``, ``u``, ``v``, ``w``, ``phi``, ``omega`` and ``psi``.
+``--dims`` with the same integer reader, and holds each entry to the rule of
+a circuit file's ``d`` (:func:`_dimension`).  Circuit files are JSON objects
+with fields ``d``, ``u``, ``v``, ``w``, ``phi``, ``omega`` and ``psi``.
 """
 
 from __future__ import annotations
@@ -22,13 +23,18 @@ import numpy as np
 
 from .linalg import HADAMARD, ID2, INPUT_TOL, PAULI, SGATE, basis_state, bell_state, rx, ry, rz
 from .nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem, _check_self_coupling
-from .properties import MAX_DIM
 from .reversal import canonical_pair, photon_number
 
-# Largest spin count of a spin-system file.  A sequence that pulses every spin
-# folds a dense 2**n x 2**n complex state, 256 MiB at n = 12 and 4 GiB at
-# n = 14, and its report can hold 4**n terms.
+# The input limits, each checked before any array is built.  MAX_SPINS: a
+# sequence that pulses every spin folds a dense 2**n x 2**n complex state,
+# 256 MiB at n = 12 and 4 GiB at n = 14, and its report can hold 4**n terms.
+# MAX_DIM: verify's key-1 pass holds d**4 complex elements per trial, 16 MiB
+# at d = 32 and 256 MiB at d = 64.  MAX_POINTS: each CSV export holds one row
+# per point, and fid keeps about 2 sqrt(points) complex exponentials per
+# observed line, so 2**16 points of a 10-spin state's 512 lines peak near 6 MiB.
 MAX_SPINS = 12
+MAX_DIM = 32
+MAX_POINTS = 2**16
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d*)?))?$")
 
@@ -97,6 +103,15 @@ def _in_range(spins, n) -> tuple[int, ...]:
         if not 1 <= spin <= n:
             raise ValueError(f"spin {spin} out of range: spins are 1 to {n}")
     return tuple(spin - 1 for spin in spins)
+
+
+def _dimension(value, name: str) -> int:
+    """A carrier dimension: an integer, not a bool, from 2 to :data:`MAX_DIM`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    if not 2 <= value <= MAX_DIM:
+        raise ValueError(f"{name} {value} out of range: dimensions are 2 to {MAX_DIM}")
+    return value
 
 
 def _number(token: str, name: str, n=None) -> float:
@@ -288,13 +303,7 @@ def parse_circuit(obj: dict) -> dict:
         raise ValueError("circuit file must contain a JSON object")
     if "d" not in obj:
         raise ValueError("circuit file: missing field 'd'")
-    d = obj["d"]
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"circuit file: field 'd' must be an integer, got {d!r}")
-    if d < 2:
-        raise ValueError("circuit file: d must be at least 2")
-    if d > MAX_DIM:
-        raise ValueError(f"circuit file: d {d} exceeds the limit of {MAX_DIM}")
+    d = _dimension(obj["d"], "circuit file: field 'd'")
     out = {"d": d}
     for field in ("u", "v", "w", "phi", "omega", "psi"):
         if field not in obj:

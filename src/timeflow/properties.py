@@ -52,6 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .circuits import TeleportCircuit, _evolution_chain, _outcome_amplitudes
+from .formats import MAX_DIM
 from .linalg import (
     DEFAULT_TOL,
     INPUT_TOL,
@@ -90,10 +91,6 @@ P = 1024  # trials per page of draws
 # 2**17 on the time fell by under 10% and the peak RSS rose by 12% or more
 # (CHANGES.md has the numbers).
 BLOCK_ELEMENTS = 2**16
-
-# Largest dimension: the key-1 pass holds d**4 complex elements per trial,
-# 16 MiB at d = 32 and 256 MiB at d = 64.
-MAX_DIM = 32
 
 # Every encoding a row uses: photon number at each dimension, then at d = 2
 # spin-1/2 at phases 1 and 1j (with photon number, the encodings of the chain
@@ -280,6 +277,8 @@ def run_all(
     """Run every pass at tolerance ``tol`` (the two exact rows report 0)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if seed < 0:  # default_rng takes no negative seed
+        raise ValueError(f"seed must be non-negative, got {seed}")
     reverse_gate = faulty_reverse_gate if faulty else _time_reverse_gate
     rows = {}
     for name, suite in SUITES:

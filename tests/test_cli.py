@@ -14,8 +14,10 @@ import timeflow.properties as properties
 from oracles import indented_json, write_fid_csv, write_spectrum_csv
 from strategies import json_reports, nmr_reports
 from test_golden import CASES, run_case
-from timeflow.cli import MAX_DIM, MAX_POINTS, main
-from timeflow.formats import MAX_SPINS, load_sequence, load_spin_system, vector_pairs
+from timeflow.cli import main
+from timeflow.formats import (
+    MAX_DIM, MAX_POINTS, MAX_SPINS, load_sequence, load_spin_system, vector_pairs,
+)
 from timeflow.linalg import INPUT_TOL, random_unitary
 from timeflow.nmr import fid, pauli_decompose, run_sequence, spectrum
 
@@ -74,7 +76,25 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         entry = max(int(d) for d in dims.split(","))
-        assert f"--dims entry {entry} exceeds the limit of {MAX_DIM}" in captured.err
+        assert f"--dims entry {entry} out of range: dimensions are 2 to {MAX_DIM}" in captured.err
+
+    @pytest.mark.parametrize("dims,entry", [("1", 1), ("2,0", 0), ("3,-2", -2)])
+    def test_dims_entry_below_two_rejected(self, capsys, monkeypatch, dims, entry):
+        monkeypatch.setattr(properties, "run_all", lambda **_: pytest.fail("suites ran"))
+        code = main(["verify", "--dims", dims, "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"error: --dims entry {entry} out of range: dimensions are 2 to {MAX_DIM}\n"
+        )
+
+    @pytest.mark.parametrize("seed", ["-1", "-12"])
+    def test_negative_seed_names_the_flag_and_value(self, capsys, seed):
+        code = main(["verify", "--seed", seed, "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must be non-negative, got {seed}\n"
 
     @pytest.mark.parametrize("dims,entry", [("2,2", 2), ("3,4,8,4", 4), ("2,3,2,3", 2)])
     def test_repeated_dims_entry_rejected_before_drawing(self, capsys, monkeypatch, dims, entry):
@@ -238,7 +258,8 @@ class TestTeleport:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert f"circuit file: d {d} exceeds the limit of {MAX_DIM}" in captured.err
+        message = f"circuit file: field 'd' {d} out of range: dimensions are 2 to {MAX_DIM}"
+        assert message in captured.err
 
     def test_chain_evaluated_once_per_run(self, capsys, monkeypatch):
         calls = []
@@ -374,7 +395,7 @@ class TestNmr:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert f"--detect {detect} is out of range: spins are 1 to 4" in captured.err
+        assert f"--detect: spin {detect} out of range: spins are 1 to 4" in captured.err
 
     @pytest.mark.parametrize(
         "label,message",
@@ -442,6 +463,30 @@ class TestNmr:
              "--points", str(MAX_POINTS), "--out", str(tmp_path / "report.json")]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "exports,report",
+        [
+            # the exports can be written, the report cannot: they are removed
+            (("fid.csv", "spectrum.csv"), "missing/report.json"),
+            # the first export cannot be written: nothing after it is tried
+            (("missing/fid.csv", "spectrum.csv"), "report.json"),
+        ],
+        ids=["report-fails", "first-export-fails"],
+    )
+    def test_failed_write_leaves_no_file(self, capsys, tmp_path, exports, report):
+        fid_out, spectrum_out = (tmp_path / name for name in exports)
+        code = main(
+            ["nmr", "--spin-system", f"{CONFIGS}/fourspin.spinsys", "--sequence",
+             f"{CONFIGS}/flip_off.seq", "--detect", "1", "--duration", "1", "--points", "64",
+             "--fid-out", str(fid_out), "--spectrum-out", str(spectrum_out),
+             "--out", str(tmp_path / report)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "No such file or directory" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "seq,message",
@@ -693,9 +738,9 @@ class TestReportBytes:
     def test_golden_nmr_reports_match_the_indent_oracle(self, tmp_path, monkeypatch, case):
         written = []
 
-        def spy(report, rows, args):
+        def spy(report, *rest):
             written.append(report)
-            emit(report, rows, args)
+            emit(report, *rest)
 
         emit = cli._emit
         monkeypatch.setattr(cli, "_emit", spy)

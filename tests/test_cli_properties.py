@@ -7,7 +7,7 @@ returns 0, 1 or 2, or argparse exits with status 2; no other exception
 escapes.  Exit 1 is a verification failure: a ``verify`` suite or a
 ``teleport`` comparison that disagrees.  A nan flag value never exits 0.
 After exit 0 every requested file exists and is non-empty, and no output
-holds a non-finite number.
+holds a non-finite number; after exit 2 no output file exists.
 """
 
 import io
@@ -125,8 +125,9 @@ def test_every_command_line_ends_in_an_exit_code(case):
         assert code in (0, 1, 2, "usage"), (argv, stderr)
         if "nan" in argv:  # a nan flag value is an input error, used or not
             assert code != 0, argv
-        if code in (2, "usage"):
+        if code in (2, "usage"):  # and no file written, however far the run got
             assert stderr and not stdout
+            assert sorted(p.name for p in Path(tmp).iterdir()) == sorted(files), argv
             return
         outputs = {"stdout": stdout}
         for flag in ("--out", "--fid-out", "--spectrum-out"):

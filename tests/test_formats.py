@@ -7,6 +7,7 @@ import pytest
 
 from timeflow.formats import (
     _FIELDS,
+    MAX_DIM,
     MAX_SPINS,
     load_circuit,
     parse_angle,
@@ -18,7 +19,6 @@ from timeflow.formats import (
     vector_pairs,
 )
 from timeflow.linalg import HADAMARD, SX, bell_state, ry
-from timeflow.properties import MAX_DIM
 from timeflow.nmr import Delay, Gradient, JCoupling, Rotation, SpinSystem
 
 SPINSYS = """
@@ -364,13 +364,23 @@ class TestCircuitFile:
     @pytest.mark.parametrize("d", [2.7, 2.0, "2", None, [2], True])
     def test_d_must_be_an_integer(self, d):
         obj = {"d": d, "u": "I", "v": "I", "w": "I", "phi": "MAX", "omega": "MAX", "psi": 0}
-        with pytest.raises(ValueError, match="field 'd' must be an integer"):
+        message = re.escape(f"circuit file: field 'd' {d!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
             parse_circuit(obj)
 
     @pytest.mark.parametrize("d", [MAX_DIM + 1, 10**6])
     def test_d_above_the_limit_rejected(self, d):
         obj = {"d": d, "u": "I", "v": "I", "w": "I", "phi": "MAX", "omega": "MAX", "psi": 0}
-        with pytest.raises(ValueError, match=f"circuit file: d {d} exceeds the limit of 32"):
+        message = f"circuit file: field 'd' {d} out of range: dimensions are 2 to 32"
+        with pytest.raises(ValueError, match=message):
+            parse_circuit(obj)
+
+    @pytest.mark.parametrize("d", [1, 0, -3])
+    def test_d_below_two_rejected(self, d):
+        # the same rule, and message, as a --dims entry
+        obj = {"d": d, "u": "I", "v": "I", "w": "I", "phi": "MAX", "omega": "MAX", "psi": 0}
+        message = f"circuit file: field 'd' {d} out of range: dimensions are 2 to 32"
+        with pytest.raises(ValueError, match=message):
             parse_circuit(obj)
 
     def test_d_at_the_limit_parses(self):

@@ -1006,25 +1006,35 @@ class TestAgainstDenseForms:
         assert_close(out, _embed(u, qubit, n) @ state)
 
 
+def mp_energies(s):
+    """Each basis state's energy under the module's H, at mpmath's working
+    precision, with the float offsets and couplings taken exactly."""
+    import mpmath
+
+    n = s.n
+    nu = [mpmath.mpf(v) for v in s.larmor]
+    j = [[mpmath.mpf(float(v)) for v in row] for row in s.j]
+
+    def energy(r):
+        z = [1 - 2 * ((int(r) >> (n - 1 - i)) & 1) for i in range(n)]
+        return mpmath.pi * (
+            mpmath.fsum(nu[i] * z[i] for i in range(n))
+            + mpmath.fsum(j[i][k] * z[i] * z[k] for i in range(n) for k in range(i)) / 2
+        )
+
+    return [energy(r) for r in range(2**n)]
+
+
 def mp_fid(s, rho, detect, duration, points):
     """The detection signal as a 120-bit mpmath sum: each line at
-    E(r) - E(r ^ mask) of the module's H, with the float offsets and
-    couplings taken exactly, at the exact times k * duration / points."""
+    E(r) - E(r ^ mask) of the module's H, at the exact times
+    k * duration / points."""
     mpmath = pytest.importorskip("mpmath")
     n = s.n
     mask = 1 << (n - 1 - detect)
     rows = np.flatnonzero(np.arange(2**n) & mask)
     with mpmath.workprec(120):
-        nu = [mpmath.mpf(v) for v in s.larmor]
-        j = [[mpmath.mpf(float(v)) for v in row] for row in s.j]
-
-        def energy(r):
-            z = [1 - 2 * ((int(r) >> (n - 1 - i)) & 1) for i in range(n)]
-            return mpmath.pi * (
-                mpmath.fsum(nu[i] * z[i] for i in range(n))
-                + mpmath.fsum(j[i][k] * z[i] * z[k] for i in range(n) for k in range(i)) / 2
-            )
-
+        energy = mp_energies(s).__getitem__
         lines = [(mpmath.mpc(2 * complex(rho[r, r ^ mask])), energy(r) - energy(r ^ mask))
                  for r in rows]
         omega = np.array([float(w) for _, w in lines])
@@ -1053,6 +1063,32 @@ def test_fid_against_an_mpmath_sum(n, points):
     # every phase is good to a few ulps of the largest argument |w t|
     bound = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(omega)) * duration) * weight
     assert np.max(np.abs(fid(s, rho, detect, duration, points) - expected)) <= bound
+
+
+@pytest.mark.parametrize("duration", [1e-2, 0.1, 1.0])
+def test_delay_against_an_mpmath_phase(duration):
+    # A delay's phases come from build_hamiltonian's total energies, so the
+    # error grows as eps max|E| t: 3.1e-14, 3.0e-13 and 3.1e-12 at these
+    # durations, where max|E| is 5.8e3 rad/s, each 0.3 of the bound.
+    mpmath = pytest.importorskip("mpmath")
+    n = 8
+    s = _random_system(n, np.random.default_rng([7, n]))
+    label = "X" + "I" * (n - 2) + "X"
+    rho0 = pseudopure_init(label)
+    rows, cols = np.nonzero(rho0)
+    with mpmath.workprec(120):
+        energy = mp_energies(s)
+        t = mpmath.mpf(duration)
+        expected = np.array([
+            complex(mpmath.mpc(complex(rho0[r, c])) * mpmath.expj(-(energy[r] - energy[c]) * t))
+            for r, c in zip(rows, cols)
+        ])
+    rho = run_sequence(s, label, [Delay(duration)])
+    scale = np.max(np.abs(build_hamiltonian(s))) * duration
+    bound = 8 * np.finfo(float).eps * max(1.0, scale) * np.max(np.abs(rho0))
+    assert np.max(np.abs(rho[rows, cols] - expected)) <= bound
+    rho[rows, cols] = 0
+    assert not rho.any()  # a delay moves no element
 
 
 @settings(max_examples=60, deadline=None)

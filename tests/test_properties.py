@@ -72,6 +72,12 @@ def test_zero_trials_rejected():
         run_all(seed=1, trials=0)
 
 
+@pytest.mark.parametrize("seed", [-1, -12])
+def test_negative_seed_rejected_with_its_value(seed):
+    with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+        run_all(seed=seed, trials=1)
+
+
 def test_dims_override():
     results = run_all(seed=3, trials=5, dims=(2, 4))
     assert all(r.passed for r in results)
